@@ -14,6 +14,7 @@ use octant_geo::projection::AzimuthalEquidistant;
 use octant_geo::units::{Distance, Latency};
 use octant_netsim::observation::ObservationProvider;
 use octant_netsim::topology::NodeId;
+use octant_region::vec2::Vec2;
 use octant_region::GeoRegion;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -459,7 +460,7 @@ impl Octant {
                 if i == j {
                     continue;
                 }
-                if let Some(rtt) = provider.ping(lm_ids[i], lm_ids[j]).min() {
+                if let Some(rtt) = provider.min_rtt(lm_ids[i], lm_ids[j]) {
                     inter.insert((i, j), rtt);
                 }
             }
@@ -583,7 +584,7 @@ impl Octant {
                 let key = (lm_ids[i], lm_ids[j]);
                 let rtt = if changed_set.contains(&lm_ids[i]) || changed_set.contains(&lm_ids[j]) {
                     report.refreshed_pairs += 1;
-                    let fresh = provider.ping(lm_ids[i], lm_ids[j]).min();
+                    let fresh = provider.min_rtt(lm_ids[i], lm_ids[j]);
                     if fresh != previous.inter_rtts.get(&key).copied() {
                         report.changed_pairs += 1;
                         dirty[i] = true;
@@ -790,13 +791,16 @@ impl Octant {
         scratch.target_rtts.clear();
         scratch
             .target_rtts
-            .extend(lm_ids.iter().map(|&lm| provider.ping(lm, target).min()));
+            .extend(lm_ids.iter().map(|&lm| provider.min_rtt(lm, target)));
         let target_rtts = &scratch.target_rtts;
         if target_rtts.iter().all(|r| r.is_none()) {
             return self.unknown_estimate(model);
         }
 
-        let target_height = estimate_target_height(lm_pos, heights, target_rtts);
+        let target_height = {
+            let _span = octant_telemetry::span("core.target_height");
+            estimate_target_height(lm_pos, heights, target_rtts)
+        };
         let target_height_ms = if self.config.use_heights {
             target_height.height_ms
         } else {
@@ -887,14 +891,17 @@ impl Octant {
             provenance.sources.push(sr);
         }
 
-        let point = weighted_point_estimate(
-            &region,
-            constraints,
-            &mut scratch.candidates,
-            &mut scratch.scored,
-        )
-        .or_else(|| region.centroid())
-        .or(Some(target_height.coarse_position));
+        let point = {
+            let _span = octant_telemetry::span("core.point_estimate");
+            weighted_point_estimate(
+                &region,
+                constraints,
+                &mut scratch.candidates,
+                &mut scratch.scored,
+            )
+            .or_else(|| region.centroid())
+            .or(Some(target_height.coarse_position))
+        };
         LocationEstimate {
             region: if region.is_empty() {
                 None
@@ -1079,6 +1086,9 @@ pub(crate) fn host_ip(provider: &dyn ObservationProvider, id: NodeId) -> Option<
 /// of deterministic region samples against the constraint set and averaging
 /// the top quartile on the unit sphere.
 ///
+/// Constraints share a few projections, so each candidate is projected
+/// once per distinct one: what [`GeoRegion::contains`] does, hoisted.
+///
 /// `candidates` and `scored` are caller-owned scratch buffers (cleared here)
 /// so the batch engine can reuse their capacity across targets.
 fn weighted_point_estimate(
@@ -1097,11 +1107,32 @@ fn weighted_point_estimate(
             candidates.push(p);
         }
     }
-    let score = |p: GeoPoint| -> f64 {
-        constraints
+    // Distinct projections, compared by bits (`==` would merge ±0.0 centres,
+    // whose projections may differ), and each constraint's slot among them.
+    let mut projections: Vec<AzimuthalEquidistant> = Vec::new();
+    let slots: Vec<usize> = constraints
+        .iter()
+        .map(|c| {
+            let key = projection_bits(c.region.projection());
+            projections
+                .iter()
+                .position(|&p| projection_bits(p) == key)
+                .unwrap_or_else(|| {
+                    projections.push(c.region.projection());
+                    projections.len() - 1
+                })
+        })
+        .collect();
+    let mut planes = Vec::with_capacity(projections.len());
+    scored.clear();
+    for &p in candidates.iter() {
+        planes.clear();
+        planes.extend(projections.iter().map(|proj| Vec2::from(proj.project(p))));
+        let score: f64 = constraints
             .iter()
-            .map(|c| {
-                if c.region.contains(p) {
+            .zip(&slots)
+            .map(|(c, &slot)| {
+                if c.region.region().contains(planes[slot]) {
                     if c.is_positive() {
                         c.weight
                     } else {
@@ -1111,10 +1142,9 @@ fn weighted_point_estimate(
                     0.0
                 }
             })
-            .sum()
-    };
-    scored.clear();
-    scored.extend(candidates.iter().map(|&p| (score(p), p)));
+            .sum();
+        scored.push((score, p));
+    }
     scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
     let top = &scored[..(scored.len() / 4).max(1)];
     let mut v = [0.0f64; 3];
@@ -1125,6 +1155,12 @@ fn weighted_point_estimate(
         v[2] += u[2];
     }
     Some(GeoPoint::from_vector(v))
+}
+
+/// A projection's identity: its centre's coordinate bits.
+fn projection_bits(p: AzimuthalEquidistant) -> (u64, u64) {
+    let c = p.center();
+    (c.lat.to_bits(), c.lon.to_bits())
 }
 
 #[cfg(test)]
@@ -1350,6 +1386,87 @@ mod tests {
         let truth = prober.network().node(target).location;
         let err = great_circle_km(est.point.unwrap(), truth);
         assert!(err < 1000.0, "recursive mode error {err:.0} km");
+    }
+
+    /// [`weighted_point_estimate`] as first written: every constraint
+    /// projects every candidate itself through [`GeoRegion::contains`].
+    fn reference_point_estimate(
+        region: &GeoRegion,
+        constraints: &[Constraint],
+    ) -> Option<GeoPoint> {
+        use rand::SeedableRng;
+        let centroid = region.centroid()?;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC0FFEE);
+        let mut candidates = vec![centroid];
+        for _ in 0..160 {
+            if let Some(p) = region.sample_point(&mut rng) {
+                candidates.push(p);
+            }
+        }
+        let score = |p: GeoPoint| -> f64 {
+            constraints
+                .iter()
+                .map(|c| match (c.region.contains(p), c.is_positive()) {
+                    (false, _) => 0.0,
+                    (true, true) => c.weight,
+                    (true, false) => -c.weight,
+                })
+                .sum()
+        };
+        let mut scored: Vec<(f64, GeoPoint)> = candidates.iter().map(|&p| (score(p), p)).collect();
+        scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal));
+        let mut v = [0.0f64; 3];
+        for (_, p) in &scored[..(scored.len() / 4).max(1)] {
+            let u = p.to_unit_vector();
+            v[0] += u[0];
+            v[1] += u[1];
+            v[2] += u[2];
+        }
+        Some(GeoPoint::from_vector(v))
+    }
+
+    #[test]
+    fn point_estimate_matches_the_per_constraint_reference_across_projections() {
+        let city = |code: &str| octant_geo::cities::by_code(code).unwrap().location();
+        let solve = AzimuthalEquidistant::new(city("pit"));
+        let disk = |proj, code: &str, km| GeoRegion::disk(proj, city(code), Distance::from_km(km));
+        let region = disk(solve, "pit", 900.0);
+        let mut constraints = vec![
+            Constraint::positive(disk(solve, "nyc", 700.0), 0.9, "nyc"),
+            Constraint::positive(disk(solve, "chi", 750.0), 0.8, "chi"),
+            Constraint::positive(disk(solve, "was", 500.0), 0.7, "was"),
+            Constraint::negative(disk(solve, "pit", 150.0), 0.6, "inner"),
+        ];
+        let bits = |p: Option<GeoPoint>| p.map(|p| (p.lat.to_bits(), p.lon.to_bits()));
+        let (mut candidates, mut scored) = (Vec::new(), Vec::new());
+        let without = weighted_point_estimate(&region, &constraints, &mut candidates, &mut scored);
+        assert_eq!(
+            bits(without),
+            bits(reference_point_estimate(&region, &constraints))
+        );
+
+        // Constraints built in other projections, including two whose
+        // centres differ only in the sign of a zero latitude.
+        let far = AzimuthalEquidistant::new(city("den"));
+        constraints.push(Constraint::positive(disk(far, "cle", 350.0), 0.95, "cle"));
+        for lat in [0.0, -0.0] {
+            let equator = AzimuthalEquidistant::new(GeoPoint::new(lat, -80.0));
+            constraints.push(Constraint::negative(
+                disk(equator, "bos", 400.0),
+                0.5,
+                "bos",
+            ));
+        }
+        let with = weighted_point_estimate(&region, &constraints, &mut candidates, &mut scored);
+        assert_eq!(
+            bits(with),
+            bits(reference_point_estimate(&region, &constraints))
+        );
+        assert_ne!(
+            bits(with),
+            bits(without),
+            "the other-projection constraints must move the estimate"
+        );
     }
 
     #[test]

@@ -89,17 +89,6 @@ fn land_cache_misses() -> &'static octant_telemetry::Counter {
     })
 }
 
-/// `(hits, misses)` counters of [`landmass_union_cached`], process-wide and
-/// monotonically increasing (callers measure deltas).
-#[deprecated(
-    since = "0.1.0",
-    note = "read `landmass_cache.hits` / `landmass_cache.misses` from \
-            `octant_telemetry::MetricsRegistry::global()` instead"
-)]
-pub fn landmass_cache_stats() -> (u64, u64) {
-    (land_cache_hits().get(), land_cache_misses().get())
-}
-
 /// Restricts `estimate` to land. When the intersection would wipe the
 /// estimate out entirely (which can only happen if the estimate already
 /// contradicts the latency constraints), the original estimate is returned
@@ -337,9 +326,7 @@ mod tests {
 
     #[test]
     fn cached_landmass_union_is_bit_identical_and_counts_hits() {
-        // Read hit/miss counters straight off the process-wide registry
-        // (`landmass_cache_stats()` is the deprecated shim over the same
-        // counters, kept only for external callers).
+        // Read hit/miss counters straight off the process-wide registry.
         let counters = || (land_cache_hits().get(), land_cache_misses().get());
         // A projection centre no other test uses, so the first call is a
         // genuine miss whatever the test interleaving.

@@ -12,11 +12,21 @@
 //! Adjusted latencies (`raw RTT − landmark height − target height`) are then
 //! used everywhere a latency is mapped to a distance, which removes a
 //! systematic positive bias from the constraints.
+//!
+//! # Why the sparse normal equations are bit-identical
+//!
+//! Each observed pair `(i, j)` is a row with a 1 in columns `i` and `j`.
+//! [`Heights::solve_landmarks`] accumulates AᵀA and Aᵀb straight from the
+//! sorted rows and equals the dense `Aᵀ·A`, `Aᵀ·b` bit for bit: every AᵀA
+//! entry is a count of rows, exact in `f64` in any order; every Aᵀb entry
+//! adds the same non-negative queuing terms in the same row order, which
+//! the dense product only interleaves with `0 · b = +0` terms that change
+//! no sum. The dense construction survives as the tests' oracle.
 
-use crate::linalg::{solve_least_squares, Matrix};
-use octant_geo::distance::great_circle;
+use crate::linalg::{solve_square, Matrix};
+use octant_geo::distance::{great_circle, HaversinePoint};
 use octant_geo::point::GeoPoint;
-use octant_geo::units::Latency;
+use octant_geo::units::{Distance, Latency};
 use std::collections::HashMap;
 
 /// Heights (minimum attributable queuing delay, in milliseconds) for a set of
@@ -44,35 +54,43 @@ impl Heights {
             };
         }
         // Sort the observations: HashMap iteration order varies per map
-        // instance, and the least-squares solve is sensitive to row order in
-        // its floating-point rounding. Deterministic row order makes the
+        // instance, and the solve is sensitive to row order in its
+        // floating-point rounding. Deterministic row order makes the
         // heights — and everything derived from them — bit-reproducible, in
         // particular between the batch engine's shared landmark model and a
         // per-target sequential solve.
         let mut observations: Vec<((usize, usize), Latency)> =
             rtt.iter().map(|(&k, &v)| (k, v)).collect();
         observations.sort_unstable_by_key(|&(k, _)| k);
-        let mut rows: Vec<Vec<f64>> = Vec::new();
-        let mut rhs: Vec<f64> = Vec::new();
+        // Each observation is the row `h_i + h_j = queuing`; accumulate the
+        // normal equations AᵀA·h = Aᵀb straight from those rows.
+        let mut ata = Matrix::zeros(n, n);
+        let mut atb = vec![0.0; n];
+        let mut rows = 0usize;
         for ((i, j), lat) in observations {
             if i >= n || j >= n || i == j {
                 continue;
             }
             let transmission = great_circle(positions[i], positions[j]).min_rtt_over_fiber();
             let queuing = (lat.ms() - transmission.ms()).max(0.0);
-            let mut row = vec![0.0; n];
-            row[i] = 1.0;
-            row[j] = 1.0;
-            rows.push(row);
-            rhs.push(queuing);
+            ata[(i, i)] += 1.0;
+            ata[(j, j)] += 1.0;
+            ata[(i, j)] += 1.0;
+            ata[(j, i)] += 1.0;
+            atb[i] += queuing;
+            atb[j] += queuing;
+            rows += 1;
         }
-        if rows.len() < 2 {
+        if rows < 2 {
             return Heights {
                 values_ms: vec![0.0; n],
             };
         }
-        let a = Matrix::from_rows(&rows);
-        let mut values = solve_least_squares(&a, &rhs).unwrap_or_else(|| vec![0.0; n]);
+        for i in 0..n {
+            // Ridge: a landmark with no usable pair leaves it solvable.
+            ata[(i, i)] += 1e-9;
+        }
+        let mut values = solve_square(&ata, &atb).unwrap_or_else(|| vec![0.0; n]);
         for v in &mut values {
             if !v.is_finite() || *v < 0.0 {
                 *v = 0.0;
@@ -123,17 +141,28 @@ pub struct TargetHeight {
 /// The minimisation alternates between (a) a grid-refined position search and
 /// (b) the closed-form optimal `t'` for a fixed position (the mean positive
 /// residual). Both steps are deterministic.
+///
+/// The grid search measures hundreds of candidates against every landmark,
+/// so each landmark is prepared once ([`HaversinePoint`]) and one residual
+/// buffer serves every candidate; distances stay [`great_circle`]'s bits.
 pub fn estimate_target_height(
     landmark_positions: &[GeoPoint],
     landmark_heights: &Heights,
     target_rtts: &[Option<Latency>],
 ) -> TargetHeight {
     // Collect usable observations.
-    let obs: Vec<(GeoPoint, f64, f64)> = landmark_positions
+    let obs: Vec<Observation> = landmark_positions
         .iter()
         .zip(target_rtts.iter())
         .enumerate()
-        .filter_map(|(i, (&pos, rtt))| rtt.map(|r| (pos, landmark_heights.get_ms(i), r.ms())))
+        .filter_map(|(i, (&pos, rtt))| {
+            rtt.map(|r| Observation {
+                pos,
+                site: HaversinePoint::new(pos),
+                rtt_ms: r.ms(),
+                excess_ms: r.ms() - landmark_heights.get_ms(i),
+            })
+        })
         .collect();
     if obs.is_empty() {
         return TargetHeight {
@@ -142,10 +171,11 @@ pub fn estimate_target_height(
             residual_ms: 0.0,
         };
     }
+    let mut residuals = Vec::with_capacity(obs.len());
 
     // Initial position: landmarks weighted by inverse squared latency.
     let mut best = weighted_centroid(&obs);
-    let mut best_cost = cost_at(best, &obs).0;
+    let mut best_cost = cost_at(best, &obs, &mut residuals).0;
 
     // Coarse-to-fine grid search around the current best position.
     let mut span_deg = 20.0;
@@ -158,7 +188,7 @@ pub fn estimate_target_height(
                     best.lat + span_deg * dy as f64 / steps as f64,
                     best.lon + span_deg * dx as f64 / steps as f64,
                 );
-                let (cost, _) = cost_at(cand, &obs);
+                let (cost, _) = cost_at(cand, &obs, &mut residuals);
                 if cost < best_cost {
                     best_cost = cost;
                     best = cand;
@@ -172,17 +202,17 @@ pub fn estimate_target_height(
         }
     }
 
-    let (_, height) = cost_at(best, &obs);
-    let rms = {
-        let residuals: Vec<f64> = obs
-            .iter()
-            .map(|&(pos, h, rtt)| {
-                let trans = great_circle(best, pos).min_rtt_over_fiber().ms();
-                rtt - h - height - trans
-            })
-            .collect();
-        (residuals.iter().map(|r| r * r).sum::<f64>() / residuals.len() as f64).sqrt()
-    };
+    let (_, height) = cost_at(best, &obs, &mut residuals);
+    let at = HaversinePoint::new(best);
+    let rms = (obs
+        .iter()
+        .map(|o| {
+            let r = o.excess_ms - height - transmission_ms(&at, &o.site);
+            r * r
+        })
+        .sum::<f64>()
+        / obs.len() as f64)
+        .sqrt();
     TargetHeight {
         height_ms: height,
         coarse_position: best,
@@ -196,8 +226,27 @@ pub fn adjust_rtt(raw: Latency, landmark_height_ms: f64, target_height_ms: f64) 
     Latency::from_ms((raw.ms() - landmark_height_ms - target_height_ms).max(0.0))
 }
 
+/// One usable target measurement of [`estimate_target_height`]: the
+/// landmark's position (also prepared for the haversine), the target's
+/// minimum RTT to it, and that RTT less the landmark's height.
+struct Observation {
+    pos: GeoPoint,
+    site: HaversinePoint,
+    rtt_ms: f64,
+    excess_ms: f64,
+}
+
+/// `great_circle(from, to).min_rtt_over_fiber()` in milliseconds, from
+/// prepared points.
+fn transmission_ms(from: &HaversinePoint, to: &HaversinePoint) -> f64 {
+    Distance::from_km(from.distance_km(to))
+        .min_rtt_over_fiber()
+        .ms()
+}
+
 /// For a candidate target position, picks the height that explains the
 /// residuals and returns (sum of squared residuals with that height, height).
+/// `residuals` is scratch space, overwritten.
 ///
 /// The residual of each landmark is `rtt − landmark height − transmission`,
 /// which still contains that path's route inflation. A mean estimator would
@@ -205,14 +254,15 @@ pub fn adjust_rtt(raw: Latency, landmark_height_ms: f64, target_height_ms: f64) 
 /// every subsequent constraint, so the height is taken from the lower
 /// quartile of the residuals: the least-inflated paths are the ones whose
 /// residual is closest to the pure queuing component.
-fn cost_at(candidate: GeoPoint, obs: &[(GeoPoint, f64, f64)]) -> (f64, f64) {
-    let mut residuals: Vec<f64> = obs
-        .iter()
-        .map(|&(pos, h, rtt)| {
-            let trans = great_circle(candidate, pos).min_rtt_over_fiber().ms();
-            rtt - h - trans
-        })
-        .collect();
+fn cost_at(candidate: GeoPoint, obs: &[Observation], residuals: &mut Vec<f64>) -> (f64, f64) {
+    let at = HaversinePoint::new(candidate);
+    residuals.clear();
+    residuals.extend(
+        obs.iter()
+            .map(|o| o.excess_ms - transmission_ms(&at, &o.site)),
+    );
+    // The full sort, not a selection: the cost below is summed in sorted
+    // order, and that order fixes its rounding.
     residuals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let q25 = residuals[(residuals.len() - 1) / 4];
     let height = q25.max(0.0);
@@ -223,19 +273,19 @@ fn cost_at(candidate: GeoPoint, obs: &[(GeoPoint, f64, f64)]) -> (f64, f64) {
     (cost, height)
 }
 
-fn weighted_centroid(obs: &[(GeoPoint, f64, f64)]) -> GeoPoint {
+fn weighted_centroid(obs: &[Observation]) -> GeoPoint {
     let mut sum = [0.0f64; 3];
     let mut total = 0.0;
-    for &(pos, _, rtt) in obs {
-        let w = 1.0 / (rtt * rtt).max(1e-6);
-        let v = pos.to_unit_vector();
+    for o in obs {
+        let w = 1.0 / (o.rtt_ms * o.rtt_ms).max(1e-6);
+        let v = o.pos.to_unit_vector();
         sum[0] += v[0] * w;
         sum[1] += v[1] * w;
         sum[2] += v[2] * w;
         total += w;
     }
     if total <= 0.0 {
-        return obs[0].0;
+        return obs[0].pos;
     }
     GeoPoint::from_vector(sum)
 }
@@ -243,8 +293,290 @@ fn weighted_centroid(obs: &[(GeoPoint, f64, f64)]) -> GeoPoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::linalg::dense;
     use octant_geo::cities;
     use octant_geo::distance::great_circle_km;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dense construction of [`Heights::solve_landmarks`]: one explicit
+    /// row per observation, then `dense::solve_least_squares`.
+    fn dense_heights(positions: &[GeoPoint], rtt: &HashMap<(usize, usize), Latency>) -> Heights {
+        let n = positions.len();
+        if n == 0 {
+            return Heights::default();
+        }
+        let mut observations: Vec<((usize, usize), Latency)> =
+            rtt.iter().map(|(&k, &v)| (k, v)).collect();
+        observations.sort_unstable_by_key(|&(k, _)| k);
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        let mut rhs: Vec<f64> = Vec::new();
+        for ((i, j), lat) in observations {
+            if i >= n || j >= n || i == j {
+                continue;
+            }
+            let transmission = great_circle(positions[i], positions[j]).min_rtt_over_fiber();
+            let mut row = vec![0.0; n];
+            row[i] = 1.0;
+            row[j] = 1.0;
+            rows.push(row);
+            rhs.push((lat.ms() - transmission.ms()).max(0.0));
+        }
+        if rows.len() < 2 {
+            return Heights {
+                values_ms: vec![0.0; n],
+            };
+        }
+        let a = dense::from_rows(&rows);
+        let mut values = dense::solve_least_squares(&a, &rhs).unwrap_or_else(|| vec![0.0; n]);
+        for v in &mut values {
+            if !v.is_finite() || *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        Heights { values_ms: values }
+    }
+
+    /// [`estimate_target_height`] as first written: every candidate calls
+    /// [`great_circle`] per landmark and collects a fresh residual vector.
+    fn reference_target_height(
+        landmark_positions: &[GeoPoint],
+        landmark_heights: &Heights,
+        target_rtts: &[Option<Latency>],
+    ) -> TargetHeight {
+        fn cost_at(candidate: GeoPoint, obs: &[(GeoPoint, f64, f64)]) -> (f64, f64) {
+            let mut residuals: Vec<f64> = obs
+                .iter()
+                .map(|&(pos, h, rtt)| {
+                    let trans = great_circle(candidate, pos).min_rtt_over_fiber().ms();
+                    rtt - h - trans
+                })
+                .collect();
+            residuals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            let height = residuals[(residuals.len() - 1) / 4].max(0.0);
+            let cost = residuals
+                .iter()
+                .map(|r| (r - height) * (r - height))
+                .sum::<f64>();
+            (cost, height)
+        }
+        let obs: Vec<(GeoPoint, f64, f64)> = landmark_positions
+            .iter()
+            .zip(target_rtts.iter())
+            .enumerate()
+            .filter_map(|(i, (&pos, rtt))| rtt.map(|r| (pos, landmark_heights.get_ms(i), r.ms())))
+            .collect();
+        if obs.is_empty() {
+            return TargetHeight {
+                height_ms: 0.0,
+                coarse_position: GeoPoint::new(0.0, 0.0),
+                residual_ms: 0.0,
+            };
+        }
+        let mut sum = [0.0f64; 3];
+        let mut total = 0.0;
+        for &(pos, _, rtt) in &obs {
+            let w = 1.0 / (rtt * rtt).max(1e-6);
+            let v = pos.to_unit_vector();
+            sum[0] += v[0] * w;
+            sum[1] += v[1] * w;
+            sum[2] += v[2] * w;
+            total += w;
+        }
+        let mut best = if total <= 0.0 {
+            obs[0].0
+        } else {
+            GeoPoint::from_vector(sum)
+        };
+        let mut best_cost = cost_at(best, &obs).0;
+        let mut span_deg = 20.0;
+        for _ in 0..5 {
+            let steps = 7;
+            let mut improved = false;
+            for dy in -steps..=steps {
+                for dx in -steps..=steps {
+                    let cand = GeoPoint::new(
+                        best.lat + span_deg * dy as f64 / steps as f64,
+                        best.lon + span_deg * dx as f64 / steps as f64,
+                    );
+                    let (cost, _) = cost_at(cand, &obs);
+                    if cost < best_cost {
+                        best_cost = cost;
+                        best = cand;
+                        improved = true;
+                    }
+                }
+            }
+            span_deg /= 3.0;
+            if !improved && span_deg < 0.5 {
+                break;
+            }
+        }
+        let (_, height) = cost_at(best, &obs);
+        let residuals: Vec<f64> = obs
+            .iter()
+            .map(|&(pos, h, rtt)| {
+                let trans = great_circle(best, pos).min_rtt_over_fiber().ms();
+                rtt - h - height - trans
+            })
+            .collect();
+        let rms = (residuals.iter().map(|r| r * r).sum::<f64>() / residuals.len() as f64).sqrt();
+        TargetHeight {
+            height_ms: height,
+            coarse_position: best,
+            residual_ms: rms,
+        }
+    }
+
+    fn height_bits(h: &Heights) -> Vec<u64> {
+        h.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn target_bits(t: &TargetHeight) -> [u64; 4] {
+        [
+            t.height_ms.to_bits(),
+            t.coarse_position.lat.to_bits(),
+            t.coarse_position.lon.to_bits(),
+            t.residual_ms.to_bits(),
+        ]
+    }
+
+    /// `n` landmarks scattered around `(lat, lon)` within `spread` degrees.
+    fn scattered(rng: &mut StdRng, n: usize, lat: f64, lon: f64, spread: f64) -> Vec<GeoPoint> {
+        (0..n)
+            .map(|_| {
+                GeoPoint::new(
+                    lat + rng.gen_range(-spread..spread),
+                    lon + rng.gen_range(-spread..spread),
+                )
+            })
+            .collect()
+    }
+
+    /// Inter-landmark RTTs over fiber plus per-node heights and inflation
+    /// noise, with some pairs missing altogether and some observed one way
+    /// only.
+    fn seeded_rtts(rng: &mut StdRng, positions: &[GeoPoint]) -> HashMap<(usize, usize), Latency> {
+        let heights: Vec<f64> = positions.iter().map(|_| rng.gen_range(0.0..6.0)).collect();
+        let mut map = HashMap::new();
+        for i in 0..positions.len() {
+            for j in (i + 1)..positions.len() {
+                let trans = great_circle(positions[i], positions[j])
+                    .min_rtt_over_fiber()
+                    .ms();
+                let rtt = |rng: &mut StdRng| {
+                    let inflation = 1.0 + rng.gen_range(0.0..0.8);
+                    Latency::from_ms(trans * inflation + heights[i] + heights[j])
+                };
+                // 0: pair missing; 1 and 2: one direction only; else both.
+                let shape = rng.gen_range(0..10u32);
+                if shape == 1 || shape > 2 {
+                    map.insert((i, j), rtt(rng));
+                }
+                if shape >= 2 {
+                    map.insert((j, i), rtt(rng));
+                }
+            }
+        }
+        map
+    }
+
+    #[test]
+    fn sparse_normal_equations_match_the_dense_solve_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x4E16);
+        for (case, &(n, lat, lon, spread)) in [
+            (2, 40.0, -90.0, 10.0),
+            (3, 40.0, -90.0, 10.0),
+            (12, 45.0, 10.0, 15.0),
+            (40, 38.0, -95.0, 25.0),
+            (65, 20.0, 0.0, 60.0),
+        ]
+        .iter()
+        .enumerate()
+        {
+            for round in 0..3 {
+                let positions = scattered(&mut rng, n, lat, lon, spread);
+                let mut rtt = seeded_rtts(&mut rng, &positions);
+                // Out-of-range and self pairs are skipped by both solves.
+                rtt.insert((0, 0), Latency::from_ms(1.0));
+                rtt.insert((n, 0), Latency::from_ms(1.0));
+                let sparse = Heights::solve_landmarks(&positions, &rtt);
+                let dense = dense_heights(&positions, &rtt);
+                assert_eq!(
+                    height_bits(&sparse),
+                    height_bits(&dense),
+                    "case {case} round {round}: {} landmarks",
+                    n
+                );
+            }
+        }
+        // A landmark with no usable pair at all: both solves lean on the ridge.
+        let positions = positions();
+        let mut rtt = synthetic_rtts(&positions, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        rtt.retain(|&(i, j), _| i != 5 && j != 5);
+        assert_eq!(
+            height_bits(&Heights::solve_landmarks(&positions, &rtt)),
+            height_bits(&dense_heights(&positions, &rtt))
+        );
+    }
+
+    #[test]
+    fn target_height_matches_the_reference_search_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x7A26);
+        // Landmarks spread over a continent, straddling the antimeridian
+        // (longitude wrap at ±180°), and near the pole (the grid clamps
+        // candidate latitudes at ±90°).
+        let layouts = [
+            (38.0, -95.0, 20.0),
+            (0.0, 179.0, 8.0),
+            (-20.0, -178.0, 12.0),
+            (86.0, 30.0, 4.0),
+            (-84.0, -120.0, 6.0),
+        ];
+        for (case, &(lat, lon, spread)) in layouts.iter().enumerate() {
+            for round in 0..3 {
+                let n = rng.gen_range(3..30usize);
+                let positions = scattered(&mut rng, n, lat, lon, spread);
+                let rtt = seeded_rtts(&mut rng, &positions);
+                let heights = Heights::solve_landmarks(&positions, &rtt);
+                let target = GeoPoint::new(
+                    lat + rng.gen_range(-spread..spread),
+                    lon + rng.gen_range(-spread..spread),
+                );
+                let target_rtts: Vec<Option<Latency>> = positions
+                    .iter()
+                    .map(|&p| {
+                        (!rng.gen_bool(0.15)).then(|| {
+                            let trans = great_circle(target, p).min_rtt_over_fiber().ms();
+                            Latency::from_ms(trans * rng.gen_range(1.0..1.6) + 3.0)
+                        })
+                    })
+                    .collect();
+                let fast = estimate_target_height(&positions, &heights, &target_rtts);
+                let reference = reference_target_height(&positions, &heights, &target_rtts);
+                assert_eq!(
+                    target_bits(&fast),
+                    target_bits(&reference),
+                    "case {case} round {round}: {fast:?} vs {reference:?}"
+                );
+            }
+        }
+        // No usable measurement at all.
+        let none = vec![None; 4];
+        let positions = scattered(&mut rng, 4, 0.0, 0.0, 1.0);
+        assert_eq!(
+            target_bits(&estimate_target_height(
+                &positions,
+                &Heights::default(),
+                &none
+            )),
+            target_bits(&reference_target_height(
+                &positions,
+                &Heights::default(),
+                &none
+            ))
+        );
+    }
 
     fn positions() -> Vec<GeoPoint> {
         ["nyc", "chi", "den", "sea", "atl", "bos"]

@@ -1,9 +1,10 @@
 //! Small dense linear algebra used by the height computation.
 //!
 //! The height system of §2.2 is a least-squares problem with one unknown per
-//! landmark (≤ a few dozen), so a straightforward normal-equations solver
-//! with Gaussian elimination and partial pivoting is both sufficient and
-//! dependency-free.
+//! landmark (≤ a few dozen). [`crate::heights`] accumulates its normal
+//! equations directly (see that module for why this is exact) and solves
+//! the square system here by Gaussian elimination with partial pivoting,
+//! which is both sufficient and dependency-free.
 
 /// A dense, row-major matrix of `f64`.
 #[derive(Debug, Clone, PartialEq)]
@@ -23,20 +24,6 @@ impl Matrix {
         }
     }
 
-    /// Builds a matrix from nested rows. All rows must have the same length.
-    pub fn from_rows(rows: &[Vec<f64>]) -> Self {
-        let r = rows.len();
-        let c = rows.first().map(|x| x.len()).unwrap_or(0);
-        let mut m = Matrix::zeros(r, c);
-        for (i, row) in rows.iter().enumerate() {
-            assert_eq!(row.len(), c, "ragged rows");
-            for (j, &v) in row.iter().enumerate() {
-                m[(i, j)] = v;
-            }
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -45,43 +32,6 @@ impl Matrix {
     /// Number of columns.
     pub fn cols(&self) -> usize {
         self.cols
-    }
-
-    /// The transpose.
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Matrix product `self × other`.
-    pub fn matmul(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "dimension mismatch");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..other.cols {
-                    out[(i, j)] += a * other[(k, j)];
-                }
-            }
-        }
-        out
-    }
-
-    /// Matrix-vector product.
-    pub fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        assert_eq!(self.cols, v.len(), "dimension mismatch");
-        (0..self.rows)
-            .map(|i| (0..self.cols).map(|j| self[(i, j)] * v[j]).sum())
-            .collect()
     }
 }
 
@@ -145,56 +95,115 @@ pub fn solve_square(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
     Some((0..n).map(|i| m[i][n] / m[i][i]).collect())
 }
 
-/// Solves the (possibly over-determined) system `a · x ≈ b` in the
-/// least-squares sense via the normal equations, with a small ridge term for
-/// numerical stability. Returns `None` when even the regularized system is
-/// singular.
-pub fn solve_least_squares(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
-    if a.rows() != b.len() || a.cols() == 0 {
-        return None;
+/// The dense least-squares construction the height solve used to run: the
+/// differential oracle for [`crate::heights`]' sparse normal equations.
+#[cfg(test)]
+pub(crate) mod dense {
+    use super::{solve_square, Matrix};
+
+    /// Builds a matrix from nested rows. All rows must have the same length.
+    pub fn from_rows(rows: &[Vec<f64>]) -> Matrix {
+        let r = rows.len();
+        let c = rows.first().map(|x| x.len()).unwrap_or(0);
+        let mut m = Matrix::zeros(r, c);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), c, "ragged rows");
+            for (j, &v) in row.iter().enumerate() {
+                m[(i, j)] = v;
+            }
+        }
+        m
     }
-    let at = a.transpose();
-    let mut ata = at.matmul(a);
-    let ridge = 1e-9;
-    for i in 0..ata.rows() {
-        ata[(i, i)] += ridge;
+
+    /// The transpose.
+    pub fn transpose(m: &Matrix) -> Matrix {
+        let mut t = Matrix::zeros(m.cols(), m.rows());
+        for i in 0..m.rows() {
+            for j in 0..m.cols() {
+                t[(j, i)] = m[(i, j)];
+            }
+        }
+        t
     }
-    let atb = at.matvec(b);
-    solve_square(&ata, &atb)
+
+    /// Matrix product `a × b`.
+    pub fn matmul(a: &Matrix, b: &Matrix) -> Matrix {
+        assert_eq!(a.cols(), b.rows(), "dimension mismatch");
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        for i in 0..a.rows() {
+            for k in 0..a.cols() {
+                let x = a[(i, k)];
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..b.cols() {
+                    out[(i, j)] += x * b[(k, j)];
+                }
+            }
+        }
+        out
+    }
+
+    /// Matrix-vector product.
+    pub fn matvec(m: &Matrix, v: &[f64]) -> Vec<f64> {
+        assert_eq!(m.cols(), v.len(), "dimension mismatch");
+        (0..m.rows())
+            .map(|i| (0..m.cols()).map(|j| m[(i, j)] * v[j]).sum())
+            .collect()
+    }
+
+    /// Solves the (possibly over-determined) system `a · x ≈ b` in the
+    /// least-squares sense via the normal equations, with a small ridge
+    /// term for numerical stability. Returns `None` when even the
+    /// regularized system is singular.
+    pub fn solve_least_squares(a: &Matrix, b: &[f64]) -> Option<Vec<f64>> {
+        if a.rows() != b.len() || a.cols() == 0 {
+            return None;
+        }
+        let at = transpose(a);
+        let mut ata = matmul(&at, a);
+        let ridge = 1e-9;
+        for i in 0..ata.rows() {
+            ata[(i, i)] += ridge;
+        }
+        let atb = matvec(&at, b);
+        solve_square(&ata, &atb)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::dense::{from_rows, matmul, matvec, solve_least_squares, transpose};
     use super::*;
 
     #[test]
     fn indexing_and_transpose() {
-        let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
+        let m = from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]);
         assert_eq!(m.rows(), 2);
         assert_eq!(m.cols(), 3);
         assert_eq!(m[(1, 2)], 6.0);
-        let t = m.transpose();
+        let t = transpose(&m);
         assert_eq!(t.rows(), 3);
         assert_eq!(t[(2, 1)], 6.0);
-        assert_eq!(t.transpose(), m);
+        assert_eq!(transpose(&t), m);
     }
 
     #[test]
     fn matrix_multiplication() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
-        let b = Matrix::from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
-        let c = a.matmul(&b);
+        let a = from_rows(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        let b = from_rows(&[vec![5.0, 6.0], vec![7.0, 8.0]]);
+        let c = matmul(&a, &b);
         assert_eq!(c[(0, 0)], 19.0);
         assert_eq!(c[(0, 1)], 22.0);
         assert_eq!(c[(1, 0)], 43.0);
         assert_eq!(c[(1, 1)], 50.0);
-        assert_eq!(a.matvec(&[1.0, 1.0]), vec![3.0, 7.0]);
+        assert_eq!(matvec(&a, &[1.0, 1.0]), vec![3.0, 7.0]);
     }
 
     #[test]
     fn solve_square_known_system() {
         // 2x + y = 5 ; x - y = 1  => x = 2, y = 1
-        let a = Matrix::from_rows(&[vec![2.0, 1.0], vec![1.0, -1.0]]);
+        let a = from_rows(&[vec![2.0, 1.0], vec![1.0, -1.0]]);
         let x = solve_square(&a, &[5.0, 1.0]).unwrap();
         assert!((x[0] - 2.0).abs() < 1e-10);
         assert!((x[1] - 1.0).abs() < 1e-10);
@@ -202,10 +211,10 @@ mod tests {
 
     #[test]
     fn solve_square_detects_singularity() {
-        let a = Matrix::from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
+        let a = from_rows(&[vec![1.0, 2.0], vec![2.0, 4.0]]);
         assert!(solve_square(&a, &[1.0, 2.0]).is_none());
         // Dimension mismatches are rejected rather than panicking.
-        let a = Matrix::from_rows(&[vec![1.0, 2.0]]);
+        let a = from_rows(&[vec![1.0, 2.0]]);
         assert!(solve_square(&a, &[1.0]).is_none());
     }
 
@@ -213,7 +222,7 @@ mod tests {
     fn least_squares_recovers_exact_solution_when_consistent() {
         // The paper's 3-landmark height system:
         //   h_a + h_b = 5, h_a + h_c = 7, h_b + h_c = 8  =>  h = (2, 3, 5)
-        let a = Matrix::from_rows(&[
+        let a = from_rows(&[
             vec![1.0, 1.0, 0.0],
             vec![1.0, 0.0, 1.0],
             vec![0.0, 1.0, 1.0],
@@ -235,7 +244,7 @@ mod tests {
             .zip(noise.iter())
             .map(|(&x, &n)| 1.0 + 2.0 * x + n)
             .collect();
-        let a = Matrix::from_rows(&rows);
+        let a = from_rows(&rows);
         let c = solve_least_squares(&a, &b).unwrap();
         assert!((c[0] - 1.0).abs() < 0.15, "intercept {}", c[0]);
         assert!((c[1] - 2.0).abs() < 0.08, "slope {}", c[1]);
@@ -243,7 +252,7 @@ mod tests {
 
     #[test]
     fn least_squares_rejects_mismatched_dimensions() {
-        let a = Matrix::from_rows(&[vec![1.0, 0.0]]);
+        let a = from_rows(&[vec![1.0, 0.0]]);
         assert!(solve_least_squares(&a, &[1.0, 2.0]).is_none());
         assert!(solve_least_squares(&Matrix::zeros(2, 0), &[1.0, 2.0]).is_none());
     }

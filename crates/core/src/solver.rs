@@ -279,6 +279,7 @@ impl Solver {
             }
         }
 
+        let _subtract = octant_telemetry::span("solver.subtract");
         for &(i, c) in &negatives {
             let candidate = estimate.subtract(&c.region);
             let floor = (estimate.area_km2()

@@ -10,16 +10,46 @@ use crate::point::GeoPoint;
 use crate::units::Distance;
 use crate::EARTH_RADIUS_KM;
 
+/// A point with the per-point half of the haversine precomputed: its
+/// coordinates in radians and the cosine of its latitude.
+///
+/// [`great_circle_km`] is [`HaversinePoint::distance_km`] between two fresh
+/// `HaversinePoint`s, so a caller that measures one point against many
+/// others can prepare each point once and get the same distances bit for
+/// bit with two fewer trig calls per pair.
+#[derive(Debug, Clone, Copy)]
+pub struct HaversinePoint {
+    lat_rad: f64,
+    lon_rad: f64,
+    cos_lat: f64,
+}
+
+impl HaversinePoint {
+    /// Prepares `p`.
+    pub fn new(p: GeoPoint) -> Self {
+        let lat_rad = p.lat_rad();
+        HaversinePoint {
+            lat_rad,
+            lon_rad: p.lon_rad(),
+            cos_lat: lat_rad.cos(),
+        }
+    }
+
+    /// Great-circle distance to `other`, in kilometers.
+    pub fn distance_km(&self, other: &HaversinePoint) -> f64 {
+        let dlat = other.lat_rad - self.lat_rad;
+        let dlon = other.lon_rad - self.lon_rad;
+        let h =
+            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
+        // Clamp to guard against floating-point drift just above 1.0.
+        let h = h.clamp(0.0, 1.0);
+        2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
+    }
+}
+
 /// Great-circle distance between two points, in kilometers.
 pub fn great_circle_km(a: GeoPoint, b: GeoPoint) -> f64 {
-    let (lat1, lon1) = (a.lat_rad(), a.lon_rad());
-    let (lat2, lon2) = (b.lat_rad(), b.lon_rad());
-    let dlat = lat2 - lat1;
-    let dlon = lon2 - lon1;
-    let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
-    // Clamp to guard against floating-point drift just above 1.0.
-    let h = h.clamp(0.0, 1.0);
-    2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
+    HaversinePoint::new(a).distance_km(&HaversinePoint::new(b))
 }
 
 /// Great-circle distance between two points as a [`Distance`].
@@ -141,6 +171,40 @@ mod tests {
         let nyc = GeoPoint::new(40.7128, -74.0060);
         let syd = GeoPoint::new(-33.8688, 151.2093);
         assert!((great_circle_km(nyc, syd) - 15990.0).abs() < 150.0);
+    }
+
+    #[test]
+    fn prepared_points_give_the_literal_haversine_bit_for_bit() {
+        fn literal(a: GeoPoint, b: GeoPoint) -> f64 {
+            let (lat1, lon1) = (a.lat_rad(), a.lon_rad());
+            let (lat2, lon2) = (b.lat_rad(), b.lon_rad());
+            let h = ((lat2 - lat1) / 2.0).sin().powi(2)
+                + lat1.cos() * lat2.cos() * ((lon2 - lon1) / 2.0).sin().powi(2);
+            2.0 * EARTH_RADIUS_KM * h.clamp(0.0, 1.0).sqrt().asin()
+        }
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x4A5);
+        let mut points = vec![
+            GeoPoint::new(90.0, 0.0),
+            GeoPoint::new(-90.0, 45.0),
+            GeoPoint::new(0.0, 180.0),
+            GeoPoint::new(-0.0, -179.999),
+            ithaca(),
+            ithaca().antipode(),
+        ];
+        points
+            .extend((0..200).map(|_| {
+                GeoPoint::new(rng.gen_range(-90.0..=90.0), rng.gen_range(-180.0..=180.0))
+            }));
+        for &a in &points {
+            let prepared = HaversinePoint::new(a);
+            for &b in &points {
+                let expected = literal(a, b).to_bits();
+                assert_eq!(great_circle_km(a, b).to_bits(), expected, "{a} -> {b}");
+                let other = HaversinePoint::new(b);
+                assert_eq!(prepared.distance_km(&other).to_bits(), expected);
+            }
+        }
     }
 
     #[test]

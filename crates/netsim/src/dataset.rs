@@ -12,6 +12,7 @@
 use crate::observation::{HostDescriptor, ObservationProvider, PingObservation, TracerouteHop};
 use crate::topology::NodeId;
 use octant_geo::point::GeoPoint;
+use octant_geo::units::Latency;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
@@ -130,6 +131,10 @@ impl ObservationProvider for MeasurementDataset {
 
     fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
         self.pings.get(&(from, to)).cloned().unwrap_or_default()
+    }
+
+    fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
+        self.pings.get(&(from, to)).and_then(PingObservation::min)
     }
 
     fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {

@@ -92,6 +92,14 @@ pub trait ObservationProvider {
     /// reports the answered RTTs.
     fn ping(&self, from: NodeId, to: NodeId) -> PingObservation;
 
+    /// The minimum RTT of [`ObservationProvider::ping`], the estimator every
+    /// Octant constraint uses. Must equal `self.ping(from, to).min()`;
+    /// providers that store their observations override it to read the
+    /// minimum without copying the samples.
+    fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
+        self.ping(from, to).min()
+    }
+
     /// Runs a traceroute from `from` to `to`, reporting each intermediate
     /// router hop (the destination itself is not included).
     fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop>;
@@ -129,6 +137,9 @@ macro_rules! forward_observation_provider {
             }
             fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
                 (**self).ping(from, to)
+            }
+            fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
+                (**self).min_rtt(from, to)
             }
             fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {
                 (**self).traceroute(from, to)

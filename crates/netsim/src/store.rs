@@ -38,6 +38,7 @@ use crate::dataset::{DatasetHost, MeasurementDataset};
 use crate::observation::{HostDescriptor, ObservationProvider, PingObservation, TracerouteHop};
 use crate::topology::NodeId;
 use octant_geo::point::GeoPoint;
+use octant_geo::units::Latency;
 use parking_lot::RwLock;
 use std::collections::HashMap;
 
@@ -644,6 +645,13 @@ impl ObservationProvider for ObservationStore {
             .ping_lookup(from, to)
             .map(|e| e.observation.clone())
             .unwrap_or_default()
+    }
+
+    fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
+        self.inner
+            .read()
+            .ping_lookup(from, to)
+            .and_then(|e| e.observation.min())
     }
 
     fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {

@@ -189,17 +189,6 @@ pub mod stats {
             WALK_FALLBACKS.with(|c| c.get()),
         )
     }
-
-    /// Total scanline bands merged by the calling thread so far.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `thread_band_merges()` for per-thread deltas, or the \
-                `region.band_merges` counter in `MetricsRegistry::global()` \
-                for the process-wide total"
-    )]
-    pub fn band_merges() -> u64 {
-        thread_band_merges()
-    }
 }
 
 /// Boolean operations supported by [`boolean_op`].

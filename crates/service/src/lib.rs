@@ -30,7 +30,7 @@
 //!   its own request queue, adaptive micro-batching policy, and worker
 //!   pool, with per-request **deadlines**, bounded-queue **admission
 //!   control / load shedding**, and per-shard **latency histograms**
-//!   ([`histogram`], [`stats`]). [`GeolocationService`] is the
+//!   ([`LatencyHistogram`], [`stats`]). [`GeolocationService`] is the
 //!   shards-of-one front door, bit-identical to the pre-sharding service.
 //!
 //! The seam into `octant-core` is [`octant::RouterEstimateSource`]: the
@@ -81,7 +81,6 @@
 
 pub mod answer_cache;
 pub mod cache;
-pub mod histogram;
 pub mod registry;
 pub mod service;
 pub mod shard;

@@ -225,3 +225,88 @@ fn replayed_dataset_supports_every_observation_type_octant_needs() {
         assert_eq!(dataset.reverse_dns(hop.ip).unwrap(), hop.hostname);
     }
 }
+
+/// `min_rtt` is the copy-free read of `ping(..).min()`: every provider that
+/// overrides it, and every forwarding handle, must answer exactly the full
+/// observation's minimum — for measured pairs, host-to-router pairs,
+/// missing pairs and dark nodes alike.
+#[test]
+fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
+    use octant_netsim::{NodeId, ObservationRecord, ObservationStore, StoreConfig};
+    use std::sync::Arc;
+
+    fn check<P: ObservationProvider + ?Sized>(name: &str, p: &P, pairs: &[(NodeId, NodeId)]) {
+        for &(a, b) in pairs {
+            assert_eq!(p.min_rtt(a, b), p.ping(a, b).min(), "{name}: {a}->{b}");
+        }
+    }
+
+    let mut builder = NetworkBuilder::new(NetworkConfig {
+        seed: 41,
+        ..NetworkConfig::default()
+    });
+    for site in octant_geo::sites::planetlab_51().iter().take(10) {
+        builder = builder.add_host(HostSpec::from_site(site));
+    }
+    let prober = Prober::with_options(builder.build(), LatencyModel::default(), 0.1, 5, 41);
+    let dataset = MeasurementDataset::capture(&prober);
+    let hosts = dataset.host_ids();
+    let mut pairs: Vec<(NodeId, NodeId)> = Vec::new();
+    for &a in &hosts {
+        for &b in &hosts {
+            pairs.push((a, b));
+        }
+        for hop in dataset.traceroute(a, hosts[3]) {
+            pairs.push((a, hop.node));
+        }
+        pairs.push((a, NodeId(u32::MAX)));
+    }
+
+    check("dataset", &dataset, &pairs);
+    check("&dataset", &&dataset, &pairs);
+    check("Arc<dataset>", &Arc::new(dataset.clone()), &pairs);
+    check("dyn provider", &dataset as &dyn ObservationProvider, &pairs);
+
+    // A store whose reads see both its sorted index and an unflushed
+    // buffer holding a newer, faster observation.
+    let store = ObservationStore::from_dataset(StoreConfig::default(), &dataset);
+    let mut faster = dataset.ping(hosts[0], hosts[1]);
+    faster.samples.push(faster.min().unwrap() * 0.5);
+    store.ingest(vec![ObservationRecord::Ping {
+        from: hosts[0],
+        to: hosts[1],
+        observation: faster,
+        seq: 1,
+    }]);
+    assert_ne!(
+        store.min_rtt(hosts[0], hosts[1]),
+        dataset.min_rtt(hosts[0], hosts[1])
+    );
+    check("store", &store, &pairs);
+    check("Arc<store>", &Arc::new(store), &pairs);
+
+    let scenarios = [
+        ("passthrough", ScenarioConfig::default()),
+        (
+            "loss",
+            ScenarioConfig::default().with_seed(3).with_probe_loss(0.4),
+        ),
+        (
+            "diurnal",
+            ScenarioConfig::default()
+                .with_seed(3)
+                .with_diurnal(25.0, 24),
+        ),
+        (
+            "failure",
+            ScenarioConfig::default()
+                .with_seed(3)
+                .with_failure(hosts[2], 0, u64::MAX),
+        ),
+    ];
+    for (name, cfg) in scenarios {
+        let scenario = ScenarioProvider::new(&dataset, cfg);
+        scenario.set_tick(7);
+        check(name, &scenario, &pairs);
+    }
+}

@@ -116,6 +116,9 @@ fn spans_nest_per_thread_across_the_batch_fanout() {
         "solver.intersect",
         "solver.simplify",
         "solver.fallback",
+        "solver.subtract",
+        "core.target_height",
+        "core.point_estimate",
         "region.dilate",
         "solve",
     ];
