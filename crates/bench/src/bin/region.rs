@@ -8,14 +8,11 @@
 //!   single sweep, also comparing the scanline **band-merge counters** and
 //!   asserting the n-ary sweep merges strictly fewer bands than the chain;
 //!   the **banded** entry point (`Region::intersect_many_banded`, no ring
-//!   stitching — the solver's chunk-gate path) is timed alongside;
-//! * **crossing enumeration modes** on the same 16-way sweep — the forced
-//!   band-rescan against the forced Bentley–Ottmann event queue, asserting
-//!   the event queue visits strictly fewer candidate pairs
-//!   (`crossing_scan_ops_*`) while stitching bit-identical rings, plus the
-//!   adaptive-dispatch tallies (`sweep_mode_*`) and intersection-walk
-//!   dilation outcomes (`walk_unions` / `walk_fallbacks`) over the whole
-//!   run;
+//!   stitching — the solver's chunk-gate path) is timed alongside, and the
+//!   n-ary sweep's crossing-enumeration work (`crossing_scan_ops`) is
+//!   reported;
+//! * the intersection-walk dilation outcomes (`walk_unions` /
+//!   `walk_fallbacks`) over the whole run;
 //! * the **parallel per-band merge**: the same n-ary sweep re-run with a
 //!   forced worker count, asserting the band-merge counter and the result
 //!   area are identical to the sequential sweep (the counter merge-on-join
@@ -35,9 +32,7 @@
 //!   summary ([`octant_bench::OpsBenchSummary`] format).
 
 use octant_bench::{json_path_from_args, OpsBenchSummary};
-use octant_region::scanline::{
-    boolean_op_many_chunked, set_crossing_mode, stats, CrossingMode, NaryOp,
-};
+use octant_region::scanline::{boolean_op_many_chunked, stats, NaryOp};
 use octant_region::{BandedRegion, Region, Vec2};
 use std::time::Instant;
 
@@ -114,8 +109,10 @@ fn main() {
     let chained_result = chained(&disks);
     let chained_bands = stats::thread_band_merges() - before;
     let before = stats::thread_band_merges();
+    let before_scans = stats::thread_crossing_scan_ops();
     let nary_result = Region::intersect_many(disks.iter());
     let nary_bands = stats::thread_band_merges() - before;
+    let crossing_scan_ops = stats::thread_crossing_scan_ops() - before_scans;
 
     // The perf-regression guard: one fused sweep must merge strictly fewer
     // bands than the 15 chained sweeps it replaces, and agree on the area.
@@ -129,40 +126,6 @@ fn main() {
         "chained area {ca} vs n-ary {na}"
     );
 
-    // ---- Crossing enumeration: forced band-rescan vs event queue -----------
-    // The same 16-way n-ary sweep with the crossing-enumeration mode forced
-    // each way. The perf guard: the event queue must visit strictly fewer
-    // candidate pairs (its active set is y-pruned by construction and
-    // x-pruned by the sorted prefix) while stitching bit-identical rings —
-    // the dispatch heuristic is a pure work trade, never a result change.
-    set_crossing_mode(CrossingMode::Rescan);
-    let before = stats::thread_crossing_scan_ops();
-    let rescan_result = Region::intersect_many(disks.iter());
-    let rescan_scan_ops = stats::thread_crossing_scan_ops() - before;
-    set_crossing_mode(CrossingMode::EventQueue);
-    let before = stats::thread_crossing_scan_ops();
-    let eventq_result = Region::intersect_many(disks.iter());
-    let eventq_scan_ops = stats::thread_crossing_scan_ops() - before;
-    set_crossing_mode(CrossingMode::Auto);
-    assert_eq!(
-        rescan_result, eventq_result,
-        "event-queue crossing enumeration must stitch bit-identical rings"
-    );
-    assert!(
-        eventq_scan_ops < rescan_scan_ops,
-        "event queue scanned {eventq_scan_ops} candidate pairs, rescan {rescan_scan_ops}"
-    );
-    println!(
-        "# crossing scan ops   : rescan {rescan_scan_ops}, event queue {eventq_scan_ops}  ({:.2}x fewer, bit-identical)",
-        rescan_scan_ops as f64 / eventq_scan_ops as f64
-    );
-    summary.push("crossing_scan_ops_rescan", rescan_scan_ops as f64);
-    summary.push("crossing_scan_ops_eventq", eventq_scan_ops as f64);
-    summary.push(
-        "crossing_scan_reduction",
-        rescan_scan_ops as f64 / eventq_scan_ops as f64,
-    );
-
     let chained_ops = ops_per_sec(iters, || chained(&disks));
     let nary_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()));
     let banded_ops = ops_per_sec(iters, || Region::intersect_many_banded(disks.iter()).area());
@@ -170,12 +133,14 @@ fn main() {
     println!("# intersect16 n-ary   : {nary_ops:>10.1} ops/s  ({nary_bands} band merges)");
     println!("# intersect16 banded  : {banded_ops:>10.1} ops/s  (area gate, no stitch)");
     println!("# intersect16 speedup : {:.2}x", nary_ops / chained_ops);
+    println!("# crossing scan ops   : {crossing_scan_ops} candidate pairs (n-ary sweep)");
     summary.push("intersect16_chained_ops_per_sec", chained_ops);
     summary.push("intersect16_nary_ops_per_sec", nary_ops);
     summary.push("intersect16_banded_ops_per_sec", banded_ops);
     summary.push("intersect16_speedup", nary_ops / chained_ops);
     summary.push("intersect16_chained_band_merges", chained_bands as f64);
     summary.push("intersect16_nary_band_merges", nary_bands as f64);
+    summary.push("crossing_scan_ops", crossing_scan_ops as f64);
 
     // ---- Parallel per-band merge: counter + result parity ------------------
     // Re-run the identical n-ary sweep through the explicit chunk-count
@@ -282,23 +247,16 @@ fn main() {
     summary.push("union7_nary_ops_per_sec", union_nary_ops);
     summary.push("union7_speedup", union_nary_ops / union_chained_ops);
 
-    // ---- Dispatch + walk tallies over the whole bench run ------------------
-    // Thread-cumulative counters: how often the adaptive crossing dispatch
-    // picked each enumeration, and how the intersection-walking dilation
+    // ---- Walk tallies over the whole bench run -----------------------------
+    // Thread-cumulative counters: how the intersection-walking dilation
     // merge fared. The walk must have engaged — a bench run where every
     // dilation fell back to the sweep means the fast path regressed.
-    let (mode_rescan, mode_eventq) = stats::thread_sweep_mode_counts();
     let (walk_unions, walk_fallbacks) = stats::thread_walk_counts();
     assert!(
         walk_unions > 0,
         "the intersection-walking dilation merge never engaged"
     );
-    println!(
-        "# sweep-mode dispatch : {mode_rescan} rescan, {mode_eventq} event queue ({} walk unions, {} fallbacks)",
-        walk_unions, walk_fallbacks
-    );
-    summary.push("sweep_mode_rescan", mode_rescan as f64);
-    summary.push("sweep_mode_eventq", mode_eventq as f64);
+    println!("# walk outcomes       : {walk_unions} walk unions, {walk_fallbacks} fallbacks");
     summary.push("walk_unions", walk_unions as f64);
     summary.push("walk_fallbacks", walk_fallbacks as f64);
 

@@ -618,6 +618,9 @@ impl BenchSummary {
 ///   "intersect16_speedup": 5.17,
 ///   "intersect16_chained_band_merges": 2150,
 ///   "intersect16_nary_band_merges": 310,
+///   "crossing_scan_ops": 27000,                // candidate pairs the n-ary
+///                                              // sweep's crossing
+///                                              // enumeration examined
 ///   "parallel_nary_band_merges": 310,          // forced-parallel rerun; the
 ///                                              // bin asserts == nary merges
 ///                                              // and a bit-identical area
@@ -629,15 +632,6 @@ impl BenchSummary {
 ///   "dilate_r60_ops_per_sec": 880.0,
 ///   "dilate_r60_reference_ops_per_sec": 95.0,
 ///   "dilate_r60_speedup": 9.3,
-///   "crossing_scan_ops_rescan": 39000,         // crossing-enumeration work on
-///   "crossing_scan_ops_eventq": 17000,         // the 16-way case: candidate-
-///                                              // pair visits per forced mode
-///                                              // (the bin asserts eventq <
-///                                              // rescan and bit-identical
-///                                              // sweep output)
-///   "crossing_scan_reduction": 2.3,            // rescan / eventq
-///   "sweep_mode_rescan": 210,                  // adaptive-dispatch tallies
-///   "sweep_mode_eventq": 12,                   // over the whole bench run
 ///   "walk_unions": 64,                         // intersection-walk dilation
 ///   "walk_fallbacks": 2,                       // merges vs sweep fallbacks
 ///   ...

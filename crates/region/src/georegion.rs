@@ -21,6 +21,7 @@ use octant_geo::projection::AzimuthalEquidistant;
 use octant_geo::units::Distance;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 
 /// A planar [`Region`] together with the projection anchoring it to the
 /// globe.
@@ -149,30 +150,27 @@ impl GeoRegion {
     }
 
     /// Intersection, in this region's projection (the other region is
-    /// reprojected if needed).
+    /// reprojected if needed, and borrowed if not).
     pub fn intersect(&self, other: &GeoRegion) -> GeoRegion {
-        let other = other.reproject(self.projection);
         GeoRegion {
             projection: self.projection,
-            region: self.region.intersect(&other.region),
+            region: self.region.intersect(&other.planar_in(self.projection)),
         }
     }
 
     /// Union, in this region's projection.
     pub fn union(&self, other: &GeoRegion) -> GeoRegion {
-        let other = other.reproject(self.projection);
         GeoRegion {
             projection: self.projection,
-            region: self.region.union(&other.region),
+            region: self.region.union(&other.planar_in(self.projection)),
         }
     }
 
     /// Difference (`self` minus `other`), in this region's projection.
     pub fn subtract(&self, other: &GeoRegion) -> GeoRegion {
-        let other = other.reproject(self.projection);
         GeoRegion {
             projection: self.projection,
-            region: self.region.subtract(&other.region),
+            region: self.region.subtract(&other.planar_in(self.projection)),
         }
     }
 
@@ -214,12 +212,13 @@ impl GeoRegion {
     where
         I: IntoIterator<Item = &'a GeoRegion>,
     {
-        let ops: Vec<&GeoRegion> = operands.into_iter().collect();
-        let reprojected = reproject_where_needed(projection, &ops);
-        let regions = planar_operands(&ops, &reprojected);
+        let planar: Vec<Cow<'_, Region>> = operands
+            .into_iter()
+            .map(|r| r.planar_in(projection))
+            .collect();
         BandedGeoRegion {
             projection,
-            inner: Region::intersect_many_banded(regions),
+            inner: Region::intersect_many_banded(planar.iter().map(|r| r.as_ref())),
         }
     }
 
@@ -239,9 +238,9 @@ impl GeoRegion {
         }
     }
 
-    /// Shared preamble of the n-ary wrappers: collect operands, reproject
-    /// only those anchored elsewhere (borrowing same-projection operands),
-    /// and hand the planar operand list to the requested n-ary combination.
+    /// Shared preamble of the n-ary wrappers: reproject only the operands
+    /// anchored elsewhere (borrowing same-projection operands) and hand the
+    /// planar operand list to the requested n-ary combination.
     fn nary<'a, I>(
         projection: AzimuthalEquidistant,
         operands: I,
@@ -250,13 +249,30 @@ impl GeoRegion {
     where
         I: IntoIterator<Item = &'a GeoRegion>,
     {
-        let ops: Vec<&GeoRegion> = operands.into_iter().collect();
-        let reprojected = reproject_where_needed(projection, &ops);
-        let regions = planar_operands(&ops, &reprojected);
+        let planar: Vec<Cow<'_, Region>> = operands
+            .into_iter()
+            .map(|r| r.planar_in(projection))
+            .collect();
         GeoRegion {
             projection,
-            region: combine(regions),
+            region: combine(planar.iter().map(|r| r.as_ref()).collect()),
         }
+    }
+
+    /// This region's planar form in `target`'s projection: borrowed when
+    /// the projections share a centre, reprojected otherwise.
+    fn planar_in(&self, target: AzimuthalEquidistant) -> Cow<'_, Region> {
+        if self.shares_projection(target) {
+            Cow::Borrowed(&self.region)
+        } else {
+            Cow::Owned(self.reproject(target).region)
+        }
+    }
+
+    /// Whether this region's projection centre is within 1e-6 km of
+    /// `target`'s, which makes reprojection the identity.
+    fn shares_projection(&self, target: AzimuthalEquidistant) -> bool {
+        great_circle_km(self.projection.center(), target.center()) < 1e-6
     }
 
     /// Dilation by a geodesic distance (positive secondary-landmark
@@ -303,7 +319,7 @@ impl GeoRegion {
     /// ring vertex through globe coordinates. A no-op when the projections
     /// already share a centre.
     pub fn reproject(&self, target: AzimuthalEquidistant) -> GeoRegion {
-        if great_circle_km(self.projection.center(), target.center()) < 1e-6 {
+        if self.shares_projection(target) {
             return self.clone();
         }
         let rings = self
@@ -374,38 +390,6 @@ impl BandedGeoRegion {
             region: self.inner.into_region(),
         }
     }
-}
-
-/// Reprojects only the operands whose projection differs from `target`
-/// (slot-aligned with `ops`; `None` means the operand can be borrowed).
-fn reproject_where_needed(
-    target: AzimuthalEquidistant,
-    ops: &[&GeoRegion],
-) -> Vec<Option<GeoRegion>> {
-    ops.iter()
-        .map(|r| {
-            if great_circle_km(r.projection.center(), target.center()) < 1e-6 {
-                None
-            } else {
-                Some(r.reproject(target))
-            }
-        })
-        .collect()
-}
-
-/// Zips originals with their reprojections into the planar operand list for
-/// the n-ary sweep, borrowing wherever no reprojection was needed.
-fn planar_operands<'a>(
-    ops: &[&'a GeoRegion],
-    reprojected: &'a [Option<GeoRegion>],
-) -> Vec<&'a Region> {
-    ops.iter()
-        .zip(reprojected)
-        .map(|(orig, re)| match re {
-            Some(g) => &g.region,
-            None => &orig.region,
-        })
-        .collect()
 }
 
 // A small internal helper so reproject can rebuild a region from rings that

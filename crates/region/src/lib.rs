@@ -43,28 +43,20 @@
 //!
 //! ## Performance machinery
 //!
-//! The solver-facing hot paths are engineered around nine mechanisms
+//! The solver-facing hot paths are engineered around eight mechanisms
 //! (pinned by `tests/region_algebra.rs` / `tests/region_fastpath_parity.rs`
 //! and measured by `octant-bench`'s `region` binary):
 //!
 //! * **N-ary single sweeps** — [`Region::intersect_many`] /
 //!   [`Region::union_many`] merge all operands' per-band interval lists in
 //!   one scanline pass instead of re-decomposing an accumulator through
-//!   N−1 chained pairwise sweeps.
-//! * **Event-queue crossing enumeration** — every sweep needs the y-set of
-//!   all pairwise segment crossings. Small operand sets use the forward
-//!   rescan over `min_y`-sorted bboxes; at
-//!   [`scanline::EVENTQ_MIN_SEGMENTS`] segments and beyond the sweep
-//!   switches to a Bentley–Ottmann event queue (one priority queue of
-//!   start / end / crossing events, an active set ordered by `(min_x,
-//!   rank)` so a starting segment examines only the x-overlapping prefix)
-//!   costing O((n+k)·log n) where the rescan degrades to O(n·m) on
-//!   y-degenerate sets. Both enumerations visit the identical
-//!   properly-crossing pair set with identical argument order, so the
-//!   adaptive dispatch is **bit-invisible**; [`scanline::set_crossing_mode`]
-//!   forces either mode for parity suites and perf guards, and the
-//!   `region.sweep_mode.*` / `region.crossing_scan_ops` telemetry counters
-//!   expose the dispatch decisions and the work each mode performed.
+//!   N−1 chained pairwise sweeps. Every sweep, binary or n-ary, finds its
+//!   crossing events with one forward rescan over `min_y`-ranked bounding
+//!   boxes. In trapezoid soups nearly every crossing it meets is a
+//!   touching corner whose y is bit-equal to an endpoint height, which is
+//!   already an event; the rescan drops those before the sort, leaving the
+//!   event list unchanged. `region.crossing_scan_ops` counts the candidate
+//!   pairs it examines.
 //! * **The banded core** — the sweep's native product is a
 //!   [`banded::BandedRegion`]: a y-banded interval decomposition that
 //!   answers area/bbox/containment without ring construction, participates

@@ -46,8 +46,6 @@ pub mod stats {
     thread_local! {
         static BAND_MERGES: Cell<u64> = const { Cell::new(0) };
         static CROSSING_SCAN_OPS: Cell<u64> = const { Cell::new(0) };
-        static SWEEP_RESCAN: Cell<u64> = const { Cell::new(0) };
-        static SWEEP_EVENTQ: Cell<u64> = const { Cell::new(0) };
         static WALK_UNIONS: Cell<u64> = const { Cell::new(0) };
         static WALK_FALLBACKS: Cell<u64> = const { Cell::new(0) };
     }
@@ -63,29 +61,12 @@ pub mod stats {
     }
 
     /// `region.crossing_scan_ops`: candidate pairs examined while
-    /// enumerating segment crossings, whichever enumeration ran.
+    /// enumerating segment crossings.
     fn scan_ops_counter() -> &'static octant_telemetry::Counter {
         static COUNTER: OnceLock<octant_telemetry::Counter> = OnceLock::new();
         COUNTER.get_or_init(|| {
             octant_telemetry::MetricsRegistry::global().counter("region.crossing_scan_ops")
         })
-    }
-
-    /// `region.sweep_mode.rescan` / `region.sweep_mode.eventq`: how many
-    /// sweeps each crossing-enumeration mode served, so the adaptive
-    /// dispatch decision shows up in `stats_report()`.
-    fn sweep_mode_counter(eventq: bool) -> &'static octant_telemetry::Counter {
-        static RESCAN: OnceLock<octant_telemetry::Counter> = OnceLock::new();
-        static EVENTQ: OnceLock<octant_telemetry::Counter> = OnceLock::new();
-        if eventq {
-            EVENTQ.get_or_init(|| {
-                octant_telemetry::MetricsRegistry::global().counter("region.sweep_mode.eventq")
-            })
-        } else {
-            RESCAN.get_or_init(|| {
-                octant_telemetry::MetricsRegistry::global().counter("region.sweep_mode.rescan")
-            })
-        }
     }
 
     /// `region.walk_unions` / `region.walk_fallbacks`: intersection-walking
@@ -132,8 +113,8 @@ pub mod stats {
 
     /// Folds `n` examined crossing-candidate pairs into the calling
     /// thread's counter and the process-wide `region.crossing_scan_ops`
-    /// registry counter. Both crossing enumerations call this once per
-    /// sweep with their total, so the registry sees one relaxed add per
+    /// registry counter. The crossing enumeration calls this once per
+    /// sweep with its total, so the registry sees one relaxed add per
     /// sweep.
     pub(crate) fn add_crossing_scans(n: u64) {
         if n == 0 {
@@ -144,30 +125,10 @@ pub mod stats {
     }
 
     /// Total crossing-scan candidate examinations performed by the calling
-    /// thread so far (see `add_crossing_scans`). The perf guard compares
-    /// this delta between the event-queue and rescan enumerations on the
-    /// same operand set.
+    /// thread so far (see `add_crossing_scans`). The region bench reports
+    /// this delta for its 16-way intersection.
     pub fn thread_crossing_scan_ops() -> u64 {
         CROSSING_SCAN_OPS.with(|c| c.get())
-    }
-
-    /// Records one sweep served by the event-queue (`true`) or rescan
-    /// (`false`) crossing enumeration.
-    pub(crate) fn add_sweep_mode(eventq: bool) {
-        if eventq {
-            SWEEP_EVENTQ.with(|c| c.set(c.get() + 1));
-        } else {
-            SWEEP_RESCAN.with(|c| c.set(c.get() + 1));
-        }
-        sweep_mode_counter(eventq).add(1);
-    }
-
-    /// `(rescan, eventq)` sweep counts for the calling thread so far.
-    pub fn thread_sweep_mode_counts() -> (u64, u64) {
-        (
-            SWEEP_RESCAN.with(|c| c.get()),
-            SWEEP_EVENTQ.with(|c| c.get()),
-        )
     }
 
     /// Records one successful intersection-walking union (`fallback ==
@@ -273,8 +234,10 @@ pub(crate) fn collect_segments(rings: &[Ring]) -> Vec<Segment> {
 }
 
 /// The y-coordinate of the intersection point of two segments, if they
-/// properly cross (shared endpoints and collinear overlaps are ignored —
-/// their endpoints are already events).
+/// meet. Touching pairs count: a shared endpoint, or an endpoint lying on
+/// the other segment, is reported (the enumeration drops those that repeat
+/// an endpoint height). Parallel and collinear pairs are not — their
+/// endpoints are already events.
 fn crossing_y(s1: &Segment, s2: &Segment) -> Option<f64> {
     // Quick bounding-box rejection.
     if s1.max_y() < s2.min_y() - EPS
@@ -312,65 +275,11 @@ pub(crate) fn y_range(segs: &[Segment]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// How a sweep enumerates its segment-crossing events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrossingMode {
-    /// Choose per sweep from the operand size ([`EVENTQ_MIN_SEGMENTS`]).
-    Auto,
-    /// Always use the forward-rescan enumeration (the historical oracle).
-    Rescan,
-    /// Always use the Bentley–Ottmann event-queue enumeration.
-    EventQueue,
-}
-
-thread_local! {
-    static CROSSING_MODE: std::cell::Cell<CrossingMode> =
-        const { std::cell::Cell::new(CrossingMode::Auto) };
-}
-
-/// Overrides the crossing enumeration for sweeps on the **calling thread**.
-/// The default, [`CrossingMode::Auto`], dispatches per sweep; the forced
-/// modes exist so parity suites and perf guards can pin the two
-/// enumerations against each other. Both modes feed the caller's
-/// sort-and-dedup, and both visit the identical properly-crossing pair set
-/// with identical `crossing_y` argument order, so the emitted geometry is
-/// bit-identical whichever mode serves a sweep.
-pub fn set_crossing_mode(mode: CrossingMode) {
-    CROSSING_MODE.with(|m| m.set(mode));
-}
-
-/// The calling thread's current [`CrossingMode`].
-pub fn crossing_mode() -> CrossingMode {
-    CROSSING_MODE.with(|m| m.get())
-}
-
-/// Below this many segments the event queue's heap traffic costs more than
-/// the rescan's cache-friendly forward scan saves; measured on the region
-/// bench's constraint-scale operand sets.
-pub const EVENTQ_MIN_SEGMENTS: usize = 96;
-
-/// Appends the y-coordinates of all pairwise segment crossings to `ys`,
-/// dispatching between the two enumerations per [`CrossingMode`] and
-/// recording the decision in the [`stats`] sweep-mode tallies.
-fn crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
-    let eventq = match crossing_mode() {
-        CrossingMode::Rescan => false,
-        CrossingMode::EventQueue => true,
-        CrossingMode::Auto => segs.len() >= EVENTQ_MIN_SEGMENTS,
-    };
-    stats::add_sweep_mode(eventq);
-    if eventq {
-        eventq_crossing_ys(segs, ys);
-    } else {
-        pairwise_crossing_ys(segs, ys);
-    }
-}
-
-/// Sorts segment indices by `(min_y, index)` — the shared rank order of
-/// both crossing enumerations. The tie on the original index keeps the two
-/// enumerations' `crossing_y` argument order identical even when segments
-/// start at bit-equal heights, which is what makes the dispatch
-/// output-transparent.
+/// Sorts segment indices by `(min_y, index)`: the crossing enumeration's
+/// rank order. The earlier-ranked segment of a pair is always
+/// [`crossing_y`]'s first argument, and the tie on the original index keeps
+/// that orientation, and with it the bits of every crossing y, fixed when
+/// segments start at bit-equal heights.
 fn rank_by_min_y(segs: &[Segment]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..segs.len()).collect();
     order.sort_unstable_by(|&i, &j| {
@@ -383,19 +292,28 @@ fn rank_by_min_y(segs: &[Segment]) -> Vec<usize> {
     order
 }
 
-/// The forward-rescan crossing enumeration (the historical oracle).
+/// Whether `y` is bit-equal to one of the segment's endpoint heights.
+fn is_endpoint_height(s: &Segment, y: f64) -> bool {
+    y.to_bits() == s.a.y.to_bits() || y.to_bits() == s.b.y.to_bits()
+}
+
+/// Appends the y-coordinates of all pairwise segment crossings to `ys`: the
+/// sweep's one crossing enumeration.
 ///
-/// Sorts segment indices by `min_y` and, for each segment, scans forward
-/// while candidates can still overlap it vertically — near-linear for
-/// elongated operand sets, identical output to the all-pairs enumeration
-/// (`ys` is sorted and deduplicated by the caller, so order is irrelevant).
+/// Ranks segments by `min_y` and, for each segment, scans forward while
+/// candidates can still overlap it vertically, skipping candidates whose
+/// x-span misses its own by more than `EPS`. Every pair that can cross
+/// reaches [`crossing_y`], earlier rank first.
+///
+/// A crossing whose y is bit-equal to an endpoint height of either segment
+/// of the pair is not pushed. The caller pushes every endpoint height, so
+/// the value is already in `ys` and the sorted, deduplicated event list is
+/// unchanged. In trapezoid soups nearly every reported crossing is such a
+/// touching corner, and dropping them here keeps them out of the sort.
 fn pairwise_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
-    // Flat bbox arrays in min_y order: the scan touches four contiguous
-    // f64 lanes instead of chasing `Segment`s, and the x-overlap reject
-    // runs before any segment data is loaded. Only the *visited pair set*
-    // changes shape here — every properly-crossing pair still computes the
-    // identical intersection y, and the caller sorts and dedups by value,
-    // so the event list is unchanged.
+    // Flat bbox arrays in rank order: the scan touches four contiguous f64
+    // lanes instead of chasing `Segment`s, and the x-overlap reject runs
+    // before any segment data is loaded.
     let order = rank_by_min_y(segs);
     let n = order.len();
     let mut min_y = Vec::with_capacity(n);
@@ -422,133 +340,42 @@ fn pairwise_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
             if min_x[j] > hi_x || max_x[j] < lo_x {
                 continue;
             }
-            if let Some(y) = crossing_y(si, &segs[order[j]]) {
-                ys.push(y);
+            let sj = &segs[order[j]];
+            if let Some(y) = crossing_y(si, sj) {
+                if !is_endpoint_height(si, y) && !is_endpoint_height(sj, y) {
+                    ys.push(y);
+                }
             }
         }
     }
     stats::add_crossing_scans(scan_ops);
 }
 
-/// The Bentley–Ottmann event-queue crossing enumeration.
-///
-/// One priority queue drives the sweep: a *start* event at each segment's
-/// `min_y`, an *end* event at `max_y + EPS`, and a *crossing* event for
-/// every discovered intersection (popped crossings flow into `ys`). The
-/// active set — segments whose y-span covers the sweepline — is kept
-/// sorted by `(min_x, rank)`, so a starting segment only examines the
-/// prefix that can overlap it in x instead of rescanning every vertical
-/// neighbour: O((n + k)·log n) for n segments and k crossings, where the
-/// rescan degrades to O(n·m) when m segments share a y-slice.
-///
-/// **Pair-set identity with the rescan** (what makes the adaptive dispatch
-/// invisible): both enumerations rank segments by the same `(min_y, index)`
-/// order. The rescan pairs ranks `k < r` exactly when
-/// `min_y[r] <= max_y[k] + EPS` and their x-spans overlap within EPS. Here,
-/// when `Start(r)` pops, the active set holds precisely the ranks `k < r`
-/// with `max_y[k] + EPS >= min_y[r]` — equal-height starts pop in rank
-/// order, and ends at `max_y + EPS` pop *after* an equal-height start, so
-/// the boundary case keeps the rescan's inclusive `<=` — and the same
-/// symmetric EPS x-overlap test gates each candidate. Every surviving pair
-/// calls `crossing_y` with the earlier rank first, matching the rescan's
-/// argument order, so the appended y values are bit-identical.
-fn eventq_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// The event heights of a sweep over `segs`: every endpoint height plus
+/// every pairwise crossing, clipped to `window` when one applies, sorted,
+/// with heights closer than `EPS` merged. Between two consecutive events no
+/// segment starts, ends or crosses another.
+fn event_ys(segs: &[Segment], window: Option<(f64, f64)>) -> Vec<f64> {
+    let mut ys: Vec<f64> = Vec::with_capacity(segs.len() * 2);
+    for s in segs {
+        ys.push(s.a.y);
+        ys.push(s.b.y);
+    }
+    pairwise_crossing_ys(segs, &mut ys);
+    sorted_events(ys, window)
+}
 
-    /// A sweep event; `kind` is 0 = start, 1 = end, 2 = crossing, ordered
-    /// start-before-end-before-crossing at equal heights.
-    struct Ev {
-        y: f64,
-        kind: u8,
-        rank: u32,
+/// Clips raw event heights to `window`, sorts them and merges heights
+/// closer than `EPS`.
+fn sorted_events(mut ys: Vec<f64>, window: Option<(f64, f64)>) -> Vec<f64> {
+    if let Some((lo, hi)) = window {
+        ys.retain(|y| *y >= lo && *y <= hi);
     }
-    impl PartialEq for Ev {
-        fn eq(&self, other: &Self) -> bool {
-            self.cmp(other) == std::cmp::Ordering::Equal
-        }
-    }
-    impl Eq for Ev {}
-    impl PartialOrd for Ev {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Ev {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.y
-                .total_cmp(&other.y)
-                .then(self.kind.cmp(&other.kind))
-                .then(self.rank.cmp(&other.rank))
-        }
-    }
-
-    let order = rank_by_min_y(segs);
-    let n = order.len();
-    let mut min_y = Vec::with_capacity(n);
-    let mut max_y = Vec::with_capacity(n);
-    let mut min_x = Vec::with_capacity(n);
-    let mut max_x = Vec::with_capacity(n);
-    let mut heap: BinaryHeap<Reverse<Ev>> = BinaryHeap::with_capacity(2 * n);
-    for (rank, &i) in order.iter().enumerate() {
-        let s = &segs[i];
-        min_y.push(s.min_y());
-        max_y.push(s.max_y());
-        min_x.push(s.a.x.min(s.b.x));
-        max_x.push(s.a.x.max(s.b.x));
-        heap.push(Reverse(Ev {
-            y: s.min_y(),
-            kind: 0,
-            rank: rank as u32,
-        }));
-        heap.push(Reverse(Ev {
-            y: s.max_y() + EPS,
-            kind: 1,
-            rank: rank as u32,
-        }));
-    }
-
-    // Active segments, sorted by `(min_x, rank)`.
-    let mut active: Vec<(f64, u32)> = Vec::new();
-    let mut scan_ops = 0u64;
-    while let Some(Reverse(ev)) = heap.pop() {
-        let r = ev.rank as usize;
-        match ev.kind {
-            0 => {
-                // Examine the active prefix that can reach this segment's
-                // x-span, then join the active set.
-                let hi_x = max_x[r] + EPS;
-                let lo_x = min_x[r] - EPS;
-                let cut = active.partition_point(|&(mx, _)| mx <= hi_x);
-                scan_ops += cut as u64;
-                let sr = &segs[order[r]];
-                for &(_, k) in &active[..cut] {
-                    if max_x[k as usize] < lo_x {
-                        continue;
-                    }
-                    if let Some(y) = crossing_y(&segs[order[k as usize]], sr) {
-                        heap.push(Reverse(Ev {
-                            y,
-                            kind: 2,
-                            rank: u32::MAX,
-                        }));
-                    }
-                }
-                let entry = (min_x[r], ev.rank);
-                let at = active.partition_point(|&e| e < entry);
-                active.insert(at, entry);
-            }
-            1 => {
-                let entry = (min_x[r], ev.rank);
-                let at = active.partition_point(|&e| e < entry);
-                if active.get(at) == Some(&entry) {
-                    active.remove(at);
-                }
-            }
-            _ => ys.push(ev.y),
-        }
-    }
-    stats::add_crossing_scans(scan_ops);
+    // Values only — ties are bit-equal and dedup reads values — so the
+    // unstable sort is output-identical.
+    ys.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
+    ys.dedup_by(|x, y| (*x - *y).abs() < EPS);
+    ys
 }
 
 /// An x-interval at the band midline, remembering which segments produced its
@@ -769,20 +596,7 @@ pub fn boolean_op(a: &[Ring], b: &[Ring], op: BoolOp) -> Vec<Ring> {
     let b_offset = segs.len();
     segs.extend_from_slice(&seg_b);
 
-    // Event y-coordinates.
-    let mut ys: Vec<f64> = Vec::with_capacity(segs.len() * 2);
-    for s in &segs {
-        ys.push(s.a.y);
-        ys.push(s.b.y);
-    }
-    crossing_ys(&segs, &mut ys);
-    if let Some((lo, hi)) = y_window {
-        ys.retain(|y| *y >= lo && *y <= hi);
-    }
-    // Values only — ties are bit-equal and dedup reads values — so the
-    // unstable sort is output-identical.
-    ys.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-    ys.dedup_by(|x, y| (*x - *y).abs() < EPS);
+    let ys = event_ys(&segs, y_window);
 
     // Active-set maintenance, exactly as in the n-ary sweep: segments enter
     // in `min_y` order as the sweep rises and leave once the midline passes
@@ -1162,20 +976,7 @@ pub(crate) fn sweep_bands_chunked(
         }
     }
 
-    // Event y-coordinates: all endpoints plus all pairwise crossings.
-    let mut ys: Vec<f64> = Vec::with_capacity(segs.len() * 2);
-    for s in &segs {
-        ys.push(s.a.y);
-        ys.push(s.b.y);
-    }
-    crossing_ys(&segs, &mut ys);
-    if let Some((lo, hi)) = window {
-        ys.retain(|y| *y >= lo && *y <= hi);
-    }
-    // Values only — ties are bit-equal and dedup reads values — so the
-    // unstable sort is output-identical.
-    ys.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
-    ys.dedup_by(|x, y| (*x - *y).abs() < EPS);
+    let ys = event_ys(&segs, window);
 
     // Segment entry order shared by every chunk.
     let mut by_min: Vec<usize> = (0..segs.len()).collect();
@@ -1597,6 +1398,7 @@ fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::region::Region;
 
     fn square(x0: f64, y0: f64, x1: f64, y1: f64) -> Vec<Ring> {
         vec![Ring::rectangle(Vec2::new(x0, y0), Vec2::new(x1, y1))]
@@ -1934,6 +1736,217 @@ mod tests {
             let rb = stitch_sweep(&par);
             assert_eq!(ra, rb, "stitched rings must be identical");
         }
+    }
+
+    /// The all-pairs crossing oracle: every pair goes through `crossing_y`,
+    /// earlier rank first as in the enumeration, with no bbox pre-filter and
+    /// no duplicate filter.
+    fn all_pairs_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
+        let order = rank_by_min_y(segs);
+        for (k, &i) in order.iter().enumerate() {
+            for &j in &order[k + 1..] {
+                if let Some(y) = crossing_y(&segs[i], &segs[j]) {
+                    ys.push(y);
+                }
+            }
+        }
+    }
+
+    /// Asserts that the sweep's event list over `segs` equals, bit for bit,
+    /// the list built from every endpoint height and every oracle crossing.
+    /// A sweep's output is a function of its segments and this list, so
+    /// equal lists mean equal rings.
+    fn assert_events_match_oracle(tag: &str, segs: &[Segment], window: Option<(f64, f64)>) {
+        let mut raw: Vec<f64> = segs.iter().flat_map(|s| [s.a.y, s.b.y]).collect();
+        all_pairs_crossing_ys(segs, &mut raw);
+        let oracle = sorted_events(raw, window);
+        let events = event_ys(segs, window);
+        assert_eq!(events.len(), oracle.len(), "{tag}: event counts");
+        for (e, o) in events.iter().zip(&oracle) {
+            assert_eq!(e.to_bits(), o.to_bits(), "{tag}: event {e} vs oracle {o}");
+        }
+    }
+
+    /// A sweep's segment arena and its y-window.
+    type Arena = (Vec<Segment>, Option<(f64, f64)>);
+
+    /// The segment arena and window an n-ary sweep over `operands` runs on,
+    /// or `None` when triage skips the sweep.
+    fn nary_arena(operands: &[&Region], op: NaryOp) -> Option<Arena> {
+        let per_op = operands
+            .iter()
+            .map(|r| collect_segments(r.rings()))
+            .collect();
+        match plan_nary(per_op, op) {
+            NaryPlan::Sweep { per_op, window, .. } => Some((per_op.concat(), window)),
+            _ => None,
+        }
+    }
+
+    /// The segment arena and window `boolean_op(a, b, Difference)` sweeps:
+    /// both operands clipped to `a`'s y-range, `a`'s segments first.
+    fn difference_arena(a: &Region, b: &Region) -> Arena {
+        let (lo, hi) = y_range(&collect_segments(a.rings()));
+        let clipped = |r: &Region| {
+            let mut segs = collect_segments(r.rings());
+            segs.retain(|s| s.max_y() > lo && s.min_y() < hi);
+            segs
+        };
+        ([clipped(a), clipped(b)].concat(), Some((lo, hi)))
+    }
+
+    /// Checks the union and intersection sweeps over `operands` and each
+    /// step of subtracting the rest from the first.
+    fn assert_operand_set_matches_oracle(tag: &str, operands: &[Region]) {
+        let refs: Vec<&Region> = operands.iter().collect();
+        for (name, op) in [
+            ("union", NaryOp::Union),
+            ("intersect", NaryOp::Intersection),
+        ] {
+            if let Some((segs, window)) = nary_arena(&refs, op) {
+                assert_events_match_oracle(&format!("{tag}/{name}"), &segs, window);
+            }
+        }
+        let mut acc = operands[0].clone();
+        for (i, r) in operands[1..].iter().enumerate() {
+            let (segs, window) = difference_arena(&acc, r);
+            assert_events_match_oracle(&format!("{tag}/subtract{i}"), &segs, window);
+            acc = acc.subtract(r);
+        }
+    }
+
+    /// Degenerate fixtures where sweep implementations classically
+    /// diverge: collinear edge overlaps, shared endpoints, vertical
+    /// tangencies, zero-area contacts and horizontal edges on band
+    /// boundaries.
+    #[test]
+    fn event_list_matches_all_pairs_oracle_on_degenerates() {
+        let rect = |x0, y0, x1, y1| Region::rectangle(Vec2::new(x0, y0), Vec2::new(x1, y1));
+        let tri = |a: (f64, f64), b: (f64, f64), c: (f64, f64)| {
+            Region::from_ring(Ring::new(vec![
+                Vec2::new(a.0, a.1),
+                Vec2::new(b.0, b.1),
+                Vec2::new(c.0, c.1),
+            ]))
+        };
+        let fixtures = [
+            (
+                "collinear-edge-overlap",
+                vec![
+                    rect(0.0, 0.0, 100.0, 80.0),
+                    rect(100.0, 20.0, 200.0, 60.0),
+                    rect(100.0, 40.0, 180.0, 120.0),
+                ],
+            ),
+            (
+                "shared-endpoints",
+                vec![
+                    tri((0.0, 0.0), (90.0, 10.0), (40.0, 80.0)),
+                    tri((0.0, 0.0), (-70.0, 30.0), (-20.0, 90.0)),
+                    tri((0.0, 0.0), (30.0, -80.0), (-50.0, -40.0)),
+                ],
+            ),
+            (
+                "vertical-tangency",
+                vec![
+                    Region::disk(Vec2::new(150.0, 40.0), 50.0),
+                    rect(0.0, 0.0, 100.0, 80.0),
+                    rect(100.0, -40.0, 140.0, 40.0),
+                ],
+            ),
+            (
+                "zero-area-contact",
+                vec![rect(0.0, 0.0, 60.0, 60.0), rect(60.0, 60.0, 120.0, 120.0)],
+            ),
+            (
+                "horizontal-edge-at-band-boundary",
+                vec![
+                    rect(0.0, 0.0, 100.0, 50.0),
+                    rect(30.0, 50.0, 130.0, 100.0),
+                    rect(-20.0, 25.0, 60.0, 75.0),
+                ],
+            ),
+        ];
+        for (tag, operands) in &fixtures {
+            assert_operand_set_matches_oracle(tag, operands);
+        }
+    }
+
+    /// Dense random operand sets: eight overlapping disks and rectangles
+    /// per salt, from the scatter of `shapes_from` in
+    /// `tests/region_algebra.rs`.
+    #[test]
+    fn event_list_matches_all_pairs_oracle_on_random_dense_sets() {
+        for salt in [3u64, 17, 91, 404, 2026] {
+            let mut h = salt;
+            let shapes: Vec<Region> = (0..8)
+                .map(|i| {
+                    h = h
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let fx = ((h >> 16) & 0xffff) as f64 / 65535.0 - 0.5;
+                    let fy = ((h >> 32) & 0xffff) as f64 / 65535.0 - 0.5;
+                    let fr = ((h >> 48) & 0xffff) as f64 / 65535.0;
+                    let c = Vec2::new(40.0 + fx * 900.0, -60.0 + fy * 900.0);
+                    let r = 420.0 + fr * 400.0;
+                    if i % 3 == 2 {
+                        let half = Vec2::new(r, r * 0.7 + 40.0);
+                        Region::rectangle(c - half, c + half)
+                    } else {
+                        Region::disk(c, r)
+                    }
+                })
+                .collect();
+            assert_operand_set_matches_oracle(&format!("salt{salt}"), &shapes);
+        }
+    }
+
+    /// Trapezoid-soup operands built the way a solve builds them: an
+    /// estimate intersected from 16 constraint disks, then disks subtracted
+    /// one at a time. Soups are where touching corners dominate, so the
+    /// test also demands that the duplicate filter fired.
+    #[test]
+    fn event_list_matches_all_pairs_oracle_on_trapezoid_soups() {
+        let disks: Vec<Region> = (0..16)
+            .map(|i| {
+                let a = i as f64 * 0.7;
+                Region::disk(
+                    Vec2::new(a.cos() * 200.0, a.sin() * 200.0),
+                    600.0 + 40.0 * (i % 5) as f64,
+                )
+            })
+            .collect();
+        let refs: Vec<&Region> = disks.iter().collect();
+        let (segs, window) = nary_arena(&refs, NaryOp::Intersection).expect("a sweep");
+        assert_events_match_oracle("intersect16", &segs, window);
+
+        let mut estimate = Region::intersect_many(disks.iter());
+        let (mut oracle_crossings, mut pushed) = (0, 0);
+        for i in 0..8 {
+            let a = i as f64 * 2.3;
+            let bite = Region::disk(
+                Vec2::new(a.cos() * 350.0, a.sin() * 300.0),
+                120.0 + 25.0 * (i % 3) as f64,
+            );
+            let (segs, window) = difference_arena(&estimate, &bite);
+            assert_events_match_oracle(&format!("subtract{i}"), &segs, window);
+            let mut ys = Vec::new();
+            all_pairs_crossing_ys(&segs, &mut ys);
+            oracle_crossings += ys.len();
+            ys.clear();
+            pairwise_crossing_ys(&segs, &mut ys);
+            pushed += ys.len();
+            estimate = estimate.subtract(&bite);
+        }
+        assert!(
+            estimate.ring_count() > 16,
+            "the estimate must be a trapezoid soup ({} rings)",
+            estimate.ring_count()
+        );
+        assert!(
+            pushed < oracle_crossings,
+            "the duplicate filter never fired ({pushed} of {oracle_crossings} crossings kept)"
+        );
     }
 
     #[test]

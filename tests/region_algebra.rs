@@ -12,15 +12,8 @@
 //!
 //! The workspace's proptest stand-in generates cases from a fixed per-test
 //! seed, so CI runs are reproducible by construction.
-//!
-//! The event-queue crossing enumeration added by the sweep overhaul is pinned
-//! here too: every boolean result must be **bit-identical** between the
-//! band-rescan oracle and the event-queue path, including on the degenerate
-//! inputs where sweep implementations classically diverge (collinear edge
-//! overlaps, shared endpoints, vertical tangencies, zero-area contacts).
 
-use octant_region::scanline::{set_crossing_mode, CrossingMode};
-use octant_region::{BandedRegion, Region, Ring, Vec2};
+use octant_region::{BandedRegion, Region, Vec2};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -431,138 +424,6 @@ fn erode_then_dilate_stays_inside() {
         }
     }
     assert!(opened.area() <= region.area() * 1.01);
-}
-
-/// Runs `op` once under the forced band-rescan oracle and once under the
-/// forced event-queue enumeration, restores `Auto`, and demands the two
-/// results be **bit-identical** — same rings, same point order, same f64
-/// bits. The crossing mode is a thread-local, so both runs stay on this
-/// test's thread by construction.
-fn assert_sweep_modes_bit_identical(tag: &str, op: impl Fn() -> Region) {
-    set_crossing_mode(CrossingMode::Rescan);
-    let rescan = op();
-    set_crossing_mode(CrossingMode::EventQueue);
-    let eventq = op();
-    set_crossing_mode(CrossingMode::Auto);
-    assert_eq!(rescan, eventq, "{tag}: rescan vs event-queue result");
-    assert_eq!(
-        rescan.area().to_bits(),
-        eventq.area().to_bits(),
-        "{tag}: area bits diverged"
-    );
-    for (a, b) in rescan.rings().iter().zip(eventq.rings()) {
-        assert_eq!(a.points().len(), b.points().len(), "{tag}: ring lengths");
-        for (p, q) in a.points().iter().zip(b.points()) {
-            assert_eq!(p.x.to_bits(), q.x.to_bits(), "{tag}: x bits at {p}");
-            assert_eq!(p.y.to_bits(), q.y.to_bits(), "{tag}: y bits at {p}");
-        }
-    }
-}
-
-/// Degenerate fixtures where sweep implementations classically diverge.
-/// Each entry is a small operand set; both the n-ary union and the n-ary
-/// intersection must come out bit-identical under either crossing mode.
-fn degenerate_operand_sets() -> Vec<(&'static str, Vec<Region>)> {
-    let tri = |a: Vec2, b: Vec2, c: Vec2| Region::from_ring(Ring::new(vec![a, b, c]));
-    vec![
-        (
-            "collinear-edge-overlap",
-            // Two rectangles sharing a full collinear edge segment on x=100,
-            // plus a third whose edge overlaps half of it.
-            vec![
-                Region::rectangle(Vec2::new(0.0, 0.0), Vec2::new(100.0, 80.0)),
-                Region::rectangle(Vec2::new(100.0, 20.0), Vec2::new(200.0, 60.0)),
-                Region::rectangle(Vec2::new(100.0, 40.0), Vec2::new(180.0, 120.0)),
-            ],
-        ),
-        (
-            "shared-endpoints",
-            // Three triangles fanned around one shared vertex.
-            vec![
-                tri(
-                    Vec2::new(0.0, 0.0),
-                    Vec2::new(90.0, 10.0),
-                    Vec2::new(40.0, 80.0),
-                ),
-                tri(
-                    Vec2::new(0.0, 0.0),
-                    Vec2::new(-70.0, 30.0),
-                    Vec2::new(-20.0, 90.0),
-                ),
-                tri(
-                    Vec2::new(0.0, 0.0),
-                    Vec2::new(30.0, -80.0),
-                    Vec2::new(-50.0, -40.0),
-                ),
-            ],
-        ),
-        (
-            "vertical-tangency",
-            // A disk tangent to a rectangle's vertical edge, and two
-            // rectangles meeting exactly on a shared vertical line.
-            vec![
-                Region::disk(Vec2::new(150.0, 40.0), 50.0),
-                Region::rectangle(Vec2::new(0.0, 0.0), Vec2::new(100.0, 80.0)),
-                Region::rectangle(Vec2::new(100.0, -40.0), Vec2::new(140.0, 40.0)),
-            ],
-        ),
-        (
-            "zero-area-contact",
-            // Squares touching at exactly one corner point: the union is a
-            // bow-tie contact, the intersection has zero area.
-            vec![
-                Region::rectangle(Vec2::new(0.0, 0.0), Vec2::new(60.0, 60.0)),
-                Region::rectangle(Vec2::new(60.0, 60.0), Vec2::new(120.0, 120.0)),
-            ],
-        ),
-        (
-            "horizontal-edge-at-band-boundary",
-            // Horizontal edges land exactly on sweep band boundaries.
-            vec![
-                Region::rectangle(Vec2::new(0.0, 0.0), Vec2::new(100.0, 50.0)),
-                Region::rectangle(Vec2::new(30.0, 50.0), Vec2::new(130.0, 100.0)),
-                Region::rectangle(Vec2::new(-20.0, 25.0), Vec2::new(60.0, 75.0)),
-            ],
-        ),
-    ]
-}
-
-/// The event-queue crossing enumeration is bit-identical to the band-rescan
-/// oracle on every degenerate fixture, for unions, intersections, and a
-/// subtract chain.
-#[test]
-fn eventq_crossings_are_bit_identical_on_degenerates() {
-    for (tag, operands) in degenerate_operand_sets() {
-        assert_sweep_modes_bit_identical(&format!("{tag}/union"), || {
-            Region::union_many(operands.iter())
-        });
-        assert_sweep_modes_bit_identical(&format!("{tag}/intersect"), || {
-            Region::intersect_many(operands.iter())
-        });
-        assert_sweep_modes_bit_identical(&format!("{tag}/subtract"), || {
-            let mut acc = operands[0].clone();
-            for r in &operands[1..] {
-                acc = acc.subtract(r);
-            }
-            acc
-        });
-    }
-}
-
-/// Fixed-seed randomized sweep-mode parity: dense overlapping operand sets
-/// (the regime where `Auto` actually dispatches to the event queue) must be
-/// bit-identical between the two enumerations.
-#[test]
-fn eventq_crossings_are_bit_identical_on_random_dense_sets() {
-    for salt in [3u64, 17, 91, 404, 2026] {
-        let shapes = shapes_from((40.0, -60.0, 420.0, salt), 8);
-        assert_sweep_modes_bit_identical(&format!("salt{salt}/intersect"), || {
-            Region::intersect_many(shapes.iter().map(|s| &s.region))
-        });
-        assert_sweep_modes_bit_identical(&format!("salt{salt}/union"), || {
-            Region::union_many(shapes.iter().map(|s| &s.region))
-        });
-    }
 }
 
 /// The solver-facing simplification: vertex counts drop (or stay) while the
