@@ -176,7 +176,7 @@ fn main() {
     }
 
     let stats = service.stats();
-    let answers = service.answer_cache_stats();
+    let answers = service.stats().answers;
     let store_stats = store.stats();
     let lookups_total = rounds as u64 * 2 * lookups_per_phase;
     assert_eq!(stats.counters.targets_served, lookups_total);

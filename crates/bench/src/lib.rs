@@ -41,8 +41,8 @@
 //!      "p50_ms": 0.21, "p99_ms": 1.8},
 //!     {"name": "solve", "count": 510, "total_ms": 890.0, ...}
 //!   ],
-//!   "telemetry_overhead_pct": 1.4, // (optional) profiled-rerun wall-clock
-//!                                  // delta vs the measured run, in percent
+//!   "telemetry_overhead_pct": 1.4, // (optional) median profiled-vs-
+//!                                  // unprofiled wall-clock delta, percent
 //!   "recursive_ms_per_target": 21.4,          // Recursive serving stage:
 //!   "recursive_baseline_ms_per_target": 67.0, // default-config service vs
 //!   "recursive_speedup": 3.1,                 // uncached inline batch
@@ -502,9 +502,9 @@ pub struct BenchSummary {
     pub latency_p999_ms: Option<f64>,
     /// Per-stage wall-time rows of the profiled rerun (omitted when empty).
     pub stage_breakdown: Vec<StageRow>,
-    /// Wall-clock cost of profiling: the profiled rerun's elapsed time vs
-    /// the measured run, in percent (negative means the rerun was faster —
-    /// i.e. the overhead is below run-to-run noise).
+    /// Wall-clock cost of profiling, in percent: profiled vs unprofiled
+    /// elapsed time over the same work (negative means the profiled side
+    /// was faster — i.e. the overhead is below run-to-run noise).
     pub telemetry_overhead_pct: Option<f64>,
     /// Extra named metrics, emitted verbatim in insertion order (the
     /// `service` bench's `recursive_*_ms_per_target` and

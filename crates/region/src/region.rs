@@ -525,7 +525,7 @@ impl Region {
             }
             return Region::from_ring(convex_offset_ring(ring, radius_km, tol));
         }
-        self.dilate_with_contours(&self.contours(), radius_km)
+        self.dilate_through(&self.contours(), radius_km, tol)
     }
 
     /// The merged outer contours of the region: its banded decomposition
@@ -555,10 +555,18 @@ impl Region {
     /// n-ary sweep — fast geometry or no geometry, never wrong geometry.
     /// `region.walk_unions` / `region.walk_fallbacks` count the outcomes.
     pub fn dilate_with_contours(&self, contours: &[Ring], radius_km: f64) -> Region {
+        let _span = octant_telemetry::span("region.dilate");
         if radius_km <= 0.0 || self.rings.is_empty() {
             return self.clone();
         }
-        let tol = self.dilation_tolerance(radius_km);
+        self.dilate_through(contours, radius_km, self.dilation_tolerance(radius_km))
+    }
+
+    /// The general case shared by [`Region::dilate`] and
+    /// [`Region::dilate_with_contours`], which each open the one
+    /// `region.dilate` span of a dilation: offsets of `contours` at arc
+    /// tolerance `tol`, merged with the region.
+    fn dilate_through(&self, contours: &[Ring], radius_km: f64, tol: f64) -> Region {
         // A clockwise contour is a hole: solid offsets of the outer rings
         // would fill it, so holes force the per-edge capsule construction
         // (capsules only ever cover the boundary's neighbourhood).
@@ -593,12 +601,6 @@ impl Region {
         let mut parts: Vec<Region> = vec![self.clone()];
         parts.extend(offset_rings.into_iter().map(Region::from_ring));
         union_hierarchical(parts, 8)
-    }
-
-    /// Convenience: extract the contours and dilate through them (see
-    /// [`Region::dilate_with_contours`]).
-    pub fn dilate_contoured(&self, radius_km: f64) -> Region {
-        self.dilate_with_contours(&self.contours(), radius_km)
     }
 
     /// The original Minkowski-by-capsules dilation, kept as the exact

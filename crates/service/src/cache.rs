@@ -7,43 +7,35 @@
 //! router. [`RouterCache`] memoizes those solves under a `(model epoch,
 //! router)` key, so a serving workload of `N` targets behind `R` shared
 //! routers performs exactly `R` sub-localizations per model epoch, however
-//! many requests arrive and however they are batched.
+//! many requests arrive, however they are batched, and however many shards
+//! serve them: the sharded service keeps one `RouterCache` for all shards.
 //!
-//! Concurrency: the map itself is guarded by a `parking_lot` mutex, and each
-//! entry is an `Arc<OnceLock<..>>` — when several worker threads miss the
-//! same key simultaneously, `OnceLock::get_or_init` guarantees exactly one
-//! of them runs the sub-solve while the others block on the result. That
+//! Each level is an epoch-keyed memo whose entries are `OnceLock`s: when
+//! several worker threads miss the same key simultaneously, exactly one of
+//! them runs the sub-solve while the others block on the result. That
 //! in-flight deduplication is what makes the "exactly `R`" property hold
 //! under concurrent serving, not just statistically.
 
+use crate::memo::EpochMemo;
 use octant::{Octant, RouterEstimate, RouterEstimateSource};
 use octant_geo::units::Distance;
 use octant_netsim::observation::ObservationProvider;
 use octant_netsim::topology::NodeId;
 use octant_region::GeoRegion;
-use octant_telemetry::{Counter, MetricsRegistry};
-use parking_lot::Mutex;
-use std::cell::Cell;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-/// Sizing and retention knobs of a [`RouterCache`].
+/// Soft entry cap of each cache level. Entries of retired epochs are
+/// evicted past it; entries of the epoch being filled never are, so the
+/// exactly-once property within an epoch is unconditional.
+const LEVEL_CAP: usize = 4096;
+
+/// Configuration of a [`RouterCache`].
 ///
 /// `#[non_exhaustive]`: construct via [`RouterCacheConfig::default`] and
 /// the builder-style `with_*` setters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct RouterCacheConfig {
-    /// Soft capacity cap. When an insert pushes the cache past this size,
-    /// entries from **retired** epochs are evicted (oldest epoch first);
-    /// entries of the epoch being inserted are never evicted, so the
-    /// exactly-once property within an epoch is unconditional.
-    pub max_entries: usize,
-    /// How many epochs [`RouterCache::retire_epochs_before`]-driven
-    /// maintenance keeps around (the service evicts everything older than
-    /// `current_epoch - keep_epochs + 1` after a model refresh). Minimum 1.
-    pub keep_epochs: u64,
     /// Radius-class width (km) of the shared router-**dilation** cache.
     ///
     /// The §2.3 secondary-landmark constraint dilates a router's region by
@@ -75,18 +67,12 @@ pub struct RouterCacheConfig {
 impl Default for RouterCacheConfig {
     fn default() -> Self {
         RouterCacheConfig {
-            max_entries: 4096,
-            keep_epochs: 1,
             dilation_radius_step_km: 25.0,
         }
     }
 }
 
 octant::config_setters!(RouterCacheConfig {
-    /// Sets the soft entry cap.
-    with_max_entries: max_entries: usize,
-    /// Sets how many epochs refresh-maintenance retains.
-    with_keep_epochs: keep_epochs: u64,
     /// Sets the dilation radius-class width (km); `0.0` disables the
     /// dilation cache.
     with_dilation_radius_step_km: dilation_radius_step_km: f64,
@@ -102,7 +88,7 @@ pub struct RouterCacheStats {
     /// `(epoch, router)` key ever inserted.
     pub misses: u64,
     /// Entries removed by epoch retirement or the capacity cap, across
-    /// both cache levels (estimates and dilations).
+    /// all three cache levels (estimates, contour bases and dilations).
     pub evictions: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -132,10 +118,6 @@ impl RouterCacheStats {
     }
 }
 
-type CacheMap = HashMap<(u64, NodeId), Arc<OnceLock<Arc<RouterEstimate>>>>;
-type DilationMap = HashMap<(u64, NodeId, u32), Arc<OnceLock<Arc<GeoRegion>>>>;
-type ContourMap = HashMap<(u64, NodeId), Arc<OnceLock<Arc<ContourBase>>>>;
-
 /// The banded intermediate every dilation class of one router shares: the
 /// router's region together with its merged outer contours (planar rings
 /// in the region's own projection). Extracting contours walks the banded
@@ -149,71 +131,54 @@ struct ContourBase {
     contours: Vec<octant_region::Ring>,
 }
 
-/// Cache keys that carry their model epoch as the leading component, so
-/// one eviction routine serves both cache levels.
-trait EpochKeyed {
-    fn epoch(&self) -> u64;
-}
-
-impl EpochKeyed for (u64, NodeId) {
-    fn epoch(&self) -> u64 {
-        self.0
-    }
-}
-
-impl EpochKeyed for (u64, NodeId, u32) {
-    fn epoch(&self) -> u64 {
-        self.0
-    }
-}
-
 /// A thread-safe, epoch-aware cache of recursive router location estimates,
-/// with an optional second level caching the §2.3 dilations of those
-/// estimates per radius class (see
-/// [`RouterCacheConfig::dilation_radius_step_km`]).
+/// with a second level caching the §2.3 dilations of those estimates per
+/// radius class (see [`RouterCacheConfig::dilation_radius_step_km`]) and a
+/// third holding the contour base those classes share.
 ///
 /// Counters are [`octant_telemetry::Counter`] handles registered under
-/// `router_cache.*` in [`MetricsRegistry::global`]: [`RouterCache::stats`]
-/// reads this instance's own handles (exact per-cache counts), while the
-/// registry sums every live cache — one bump, two views.
+/// `router_cache.*` in [`octant_telemetry::MetricsRegistry::global`]:
+/// [`RouterCache::stats`] reads this instance's own handles (exact
+/// per-cache counts), while the registry sums every live cache — one bump,
+/// two views.
 #[derive(Debug)]
 pub struct RouterCache {
     config: RouterCacheConfig,
-    entries: Mutex<CacheMap>,
-    dilations: Mutex<DilationMap>,
-    contour_bases: Mutex<ContourMap>,
-    hits: Counter,
-    misses: Counter,
-    evictions: Counter,
-    dilation_hits: Counter,
-    dilation_misses: Counter,
-    contour_base_misses: Counter,
+    estimates: EpochMemo<NodeId, RouterEstimate>,
+    contour_bases: EpochMemo<NodeId, ContourBase>,
+    dilations: EpochMemo<(NodeId, u32), GeoRegion>,
 }
 
 impl Default for RouterCache {
     fn default() -> Self {
-        let registry = MetricsRegistry::global();
-        RouterCache {
-            config: RouterCacheConfig::default(),
-            entries: Mutex::new(HashMap::new()),
-            dilations: Mutex::new(HashMap::new()),
-            contour_bases: Mutex::new(HashMap::new()),
-            hits: registry.counter("router_cache.hits"),
-            misses: registry.counter("router_cache.misses"),
-            evictions: registry.counter("router_cache.evictions"),
-            dilation_hits: registry.counter("router_cache.dilation_hits"),
-            dilation_misses: registry.counter("router_cache.dilation_misses"),
-            contour_base_misses: registry.counter("router_cache.contour_bases"),
-        }
+        RouterCache::new(RouterCacheConfig::default())
     }
 }
 
 impl RouterCache {
     /// Creates a cache with the given configuration.
     pub fn new(config: RouterCacheConfig) -> Self {
+        let evictions = "router_cache.evictions";
         RouterCache {
             config,
-            ..RouterCache::default()
+            estimates: EpochMemo::new(
+                LEVEL_CAP,
+                "router_cache.hits",
+                "router_cache.misses",
+                evictions,
+            ),
+            contour_bases: EpochMemo::new(
+                LEVEL_CAP,
+                "router_cache.contour_base_hits",
+                "router_cache.contour_bases",
+                evictions,
+            ),
+            dilations: EpochMemo::new(
+                LEVEL_CAP,
+                "router_cache.dilation_hits",
+                "router_cache.dilation_misses",
+                evictions,
+            ),
         }
     }
 
@@ -234,191 +199,41 @@ impl RouterCache {
         router: NodeId,
         compute: impl FnOnce() -> RouterEstimate,
     ) -> Arc<RouterEstimate> {
-        let cell = {
-            let mut map = self.entries.lock();
-            match map.entry((epoch, router)) {
-                Entry::Occupied(e) => e.get().clone(),
-                Entry::Vacant(v) => {
-                    let cell = Arc::new(OnceLock::new());
-                    v.insert(cell.clone());
-                    self.evict_over_cap(&mut map, epoch);
-                    cell
-                }
-            }
-        };
-        let ran = Cell::new(false);
-        let value = cell
-            .get_or_init(|| {
-                ran.set(true);
-                Arc::new(compute())
-            })
-            .clone();
-        if ran.get() {
-            self.misses.inc();
-        } else {
-            self.hits.inc();
-        }
-        value
+        self.estimates.get_or_compute(epoch, router, compute)
     }
 
-    /// Evicts retired-epoch entries (oldest epoch first, deterministically)
-    /// while the map exceeds the soft cap. Entries of `current_epoch` are
-    /// never evicted. Caller holds the map lock; the caller's eviction
-    /// counter is bumped. Shared by the estimate and dilation maps — both
-    /// key on the epoch first, so the sorted order retires oldest epochs
-    /// first.
-    fn evict_over_cap<K, V>(&self, map: &mut HashMap<K, V>, current_epoch: u64)
-    where
-        K: Ord + Copy + std::hash::Hash + Eq + EpochKeyed,
-    {
-        if map.len() <= self.config.max_entries {
-            return;
-        }
-        let over = map.len() - self.config.max_entries;
-        let mut retired: Vec<K> = map
-            .keys()
-            .filter(|k| k.epoch() != current_epoch)
-            .copied()
-            .collect();
-        retired.sort_unstable();
-        let mut evicted = 0u64;
-        for key in retired.into_iter().take(over) {
-            map.remove(&key);
-            evicted += 1;
-        }
-        if evicted > 0 {
-            self.evictions.add(evicted);
-        }
-    }
-
-    /// Evicts every entry (estimates **and** cached dilations) whose epoch
-    /// is strictly below `min_epoch` (model-refresh maintenance). Both
-    /// kinds count towards the eviction counter; the return value is the
-    /// number of estimate entries removed.
+    /// Evicts every entry (estimates, contour bases **and** cached
+    /// dilations) whose epoch is strictly below `min_epoch` (model-refresh
+    /// maintenance). All three count towards the eviction counter; the
+    /// return value is the number of estimate entries removed.
     pub fn retire_epochs_before(&self, min_epoch: u64) -> usize {
-        let removed = {
-            let mut map = self.entries.lock();
-            let before = map.len();
-            map.retain(|k, _| k.epoch() >= min_epoch);
-            before - map.len()
-        };
-        let dilations_removed = {
-            let mut map = self.dilations.lock();
-            let before = map.len();
-            map.retain(|k, _| k.epoch() >= min_epoch);
-            before - map.len()
-        };
-        let bases_removed = {
-            let mut map = self.contour_bases.lock();
-            let before = map.len();
-            map.retain(|k, _| k.epoch() >= min_epoch);
-            before - map.len()
-        };
-        let total = (removed + dilations_removed + bases_removed) as u64;
-        if total > 0 {
-            self.evictions.add(total);
-        }
-        removed
-    }
-
-    /// Returns the dilation of `(epoch, router)`'s region for one radius
-    /// class, running `compute` exactly once per key across all threads
-    /// (same per-entry `OnceLock` in-flight deduplication as the estimate
-    /// cache). Over-cap inserts evict retired-epoch dilations first.
-    fn dilation_for(
-        &self,
-        epoch: u64,
-        router: NodeId,
-        class: u32,
-        compute: impl FnOnce() -> GeoRegion,
-    ) -> Arc<GeoRegion> {
-        let cell = {
-            let mut map = self.dilations.lock();
-            match map.entry((epoch, router, class)) {
-                Entry::Occupied(e) => e.get().clone(),
-                Entry::Vacant(v) => {
-                    let cell = Arc::new(OnceLock::new());
-                    v.insert(cell.clone());
-                    self.evict_over_cap(&mut map, epoch);
-                    cell
-                }
-            }
-        };
-        let ran = Cell::new(false);
-        let value = cell
-            .get_or_init(|| {
-                ran.set(true);
-                Arc::new(compute())
-            })
-            .clone();
-        if ran.get() {
-            self.dilation_misses.inc();
-        } else {
-            self.dilation_hits.inc();
-        }
-        value
-    }
-
-    /// Returns the banded-contour intermediate shared by every dilation
-    /// class of `(epoch, router)`, extracting it exactly once across all
-    /// threads (same per-entry `OnceLock` dedup as the other levels).
-    fn contour_base_for(
-        &self,
-        epoch: u64,
-        router: NodeId,
-        compute: impl FnOnce() -> ContourBase,
-    ) -> Arc<ContourBase> {
-        let cell = {
-            let mut map = self.contour_bases.lock();
-            match map.entry((epoch, router)) {
-                Entry::Occupied(e) => e.get().clone(),
-                Entry::Vacant(v) => {
-                    let cell = Arc::new(OnceLock::new());
-                    v.insert(cell.clone());
-                    self.evict_over_cap(&mut map, epoch);
-                    cell
-                }
-            }
-        };
-        let ran = Cell::new(false);
-        let value = cell
-            .get_or_init(|| {
-                ran.set(true);
-                Arc::new(compute())
-            })
-            .clone();
-        if ran.get() {
-            self.contour_base_misses.inc();
-        }
-        value
+        self.dilations.retire_epochs_before(min_epoch);
+        self.contour_bases.retire_epochs_before(min_epoch);
+        self.estimates.retire_epochs_before(min_epoch)
     }
 
     /// Total router sub-solves this cache has performed — the quantity the
     /// cache exists to minimize. Equal to the number of distinct
     /// `(epoch, router)` keys ever computed (the miss counter).
     pub fn sub_localizations(&self) -> u64 {
-        self.misses.get()
+        self.estimates.misses.get()
     }
 
     /// Total fresh §2.3 region dilations performed by the radius-class
     /// dilation cache — one per distinct `(epoch, router, radius class)`
     /// key ever computed. Always 0 while the dilation cache is disabled.
     pub fn fresh_dilations(&self) -> u64 {
-        self.dilation_misses.get()
+        self.dilations.misses.get()
     }
 
     /// Number of resident entries belonging to `epoch`.
     pub fn entries_for_epoch(&self, epoch: u64) -> usize {
-        self.entries
-            .lock()
-            .keys()
-            .filter(|(e, _)| *e == epoch)
-            .count()
+        self.estimates.entries_for_epoch(epoch)
     }
 
     /// Number of resident entries across all epochs.
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.estimates.len()
     }
 
     /// `true` when no entries are resident.
@@ -429,15 +244,17 @@ impl RouterCache {
     /// A counter snapshot.
     pub fn stats(&self) -> RouterCacheStats {
         RouterCacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
-            evictions: self.evictions.get(),
-            entries: self.len(),
-            dilation_hits: self.dilation_hits.get(),
-            dilation_misses: self.dilation_misses.get(),
-            dilation_entries: self.dilations.lock().len(),
-            contour_bases: self.contour_base_misses.get(),
-            contour_base_entries: self.contour_bases.lock().len(),
+            hits: self.estimates.hits.get(),
+            misses: self.estimates.misses.get(),
+            evictions: self.estimates.evictions.get()
+                + self.contour_bases.evictions.get()
+                + self.dilations.evictions.get(),
+            entries: self.estimates.len(),
+            dilation_hits: self.dilations.hits.get(),
+            dilation_misses: self.dilations.misses.get(),
+            dilation_entries: self.dilations.len(),
+            contour_bases: self.contour_bases.misses.get(),
+            contour_base_entries: self.contour_bases.len(),
         }
     }
 
@@ -505,166 +322,24 @@ impl RouterEstimateSource for EpochRouterSource<'_> {
         let region = estimate.region.as_ref()?;
         let class = (radius.km() / step).ceil().max(1.0) as u32;
         let class_radius = Distance::from_km(class as f64 * step);
-        Some(self.cache.dilation_for(self.epoch, router, class, || {
-            let base = self
-                .cache
-                .contour_base_for(self.epoch, router, || ContourBase {
-                    region: region.clone(),
-                    contours: octant::piecewise::router_region_contours(region),
-                });
-            octant::piecewise::class_dilated_router_region(
-                &base.region,
-                &base.contours,
-                class_radius,
-            )
-        }))
-    }
-}
-
-/// A [`RouterCache`] split into independently locked **slices by router
-/// id** — the data-plane-sharding companion of the estimate cache.
-///
-/// The sharded service's worker threads all share one logical router cache
-/// (that is what keeps the exactly-R-sub-solves property *global*: a router
-/// reached from targets on different shards is still sub-solved once per
-/// epoch). What they must not share is one mutex: with N shards serving
-/// concurrently, a single map lock serializes every lookup. Each slice here
-/// is a complete [`RouterCache`] guarding a deterministic subset of router
-/// ids, so lookups for different routers contend only when they hash to the
-/// same slice.
-///
-/// With one slice this is exactly a [`RouterCache`] (same counters, same
-/// eviction), which is what the `shards = 1` parity guarantee rests on.
-#[derive(Debug)]
-pub struct ShardedRouterCache {
-    slices: Vec<RouterCache>,
-}
-
-impl ShardedRouterCache {
-    /// Creates a cache with `slices` independently locked slices, each
-    /// configured with `config` (the capacity cap applies per slice).
-    pub fn new(config: RouterCacheConfig, slices: usize) -> Self {
-        ShardedRouterCache {
-            slices: (0..slices.max(1))
-                .map(|_| RouterCache::new(config))
-                .collect(),
-        }
-    }
-
-    /// The slice responsible for `router` (deterministic by router id).
-    pub fn slice_for(&self, router: NodeId) -> &RouterCache {
-        let idx = (crate::shard::mix64(router.0 as u64) % self.slices.len() as u64) as usize;
-        &self.slices[idx]
-    }
-
-    /// The cache slices, in slice order.
-    pub fn slices(&self) -> &[RouterCache] {
-        &self.slices
-    }
-
-    /// Total router sub-solves performed across every slice — the quantity
-    /// the cache exists to minimize.
-    pub fn sub_localizations(&self) -> u64 {
-        self.slices.iter().map(|s| s.sub_localizations()).sum()
-    }
-
-    /// Total fresh §2.3 region dilations across every slice.
-    pub fn fresh_dilations(&self) -> u64 {
-        self.slices.iter().map(|s| s.fresh_dilations()).sum()
-    }
-
-    /// Number of resident estimate entries belonging to `epoch`, across
-    /// every slice.
-    pub fn entries_for_epoch(&self, epoch: u64) -> usize {
-        self.slices.iter().map(|s| s.entries_for_epoch(epoch)).sum()
-    }
-
-    /// Number of resident estimate entries across all slices and epochs.
-    pub fn len(&self) -> usize {
-        self.slices.iter().map(|s| s.len()).sum()
-    }
-
-    /// `true` when no entries are resident in any slice.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Evicts every entry older than `min_epoch` from every slice; returns
-    /// the number of estimate entries removed.
-    pub fn retire_epochs_before(&self, min_epoch: u64) -> usize {
-        self.slices
-            .iter()
-            .map(|s| s.retire_epochs_before(min_epoch))
-            .sum()
-    }
-
-    /// Counters summed over every slice.
-    pub fn stats(&self) -> RouterCacheStats {
-        let mut total = RouterCacheStats::default();
-        for s in &self.slices {
-            let one = s.stats();
-            total.hits += one.hits;
-            total.misses += one.misses;
-            total.evictions += one.evictions;
-            total.entries += one.entries;
-            total.dilation_hits += one.dilation_hits;
-            total.dilation_misses += one.dilation_misses;
-            total.dilation_entries += one.dilation_entries;
-            total.contour_bases += one.contour_bases;
-            total.contour_base_entries += one.contour_base_entries;
-        }
-        total
-    }
-
-    /// Binds the sliced cache to one model epoch, yielding the
-    /// [`RouterEstimateSource`] a shard's solves consult. Each lookup
-    /// delegates to the slice owning the router.
-    pub fn source(&self, epoch: u64) -> ShardedEpochSource<'_> {
-        ShardedEpochSource { cache: self, epoch }
-    }
-}
-
-/// A [`ShardedRouterCache`] bound to one model epoch: routes each lookup to
-/// the slice owning the router and delegates to that slice's
-/// [`EpochRouterSource`], so per-slice behavior (in-flight dedup, dilation
-/// classes, counters) is exactly the single-cache behavior.
-#[derive(Debug, Clone, Copy)]
-pub struct ShardedEpochSource<'a> {
-    cache: &'a ShardedRouterCache,
-    epoch: u64,
-}
-
-impl ShardedEpochSource<'_> {
-    /// The epoch this source reads and fills.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-}
-
-impl RouterEstimateSource for ShardedEpochSource<'_> {
-    fn router_estimate(
-        &self,
-        octant: &Octant,
-        provider: &dyn ObservationProvider,
-        model: &octant::LandmarkModel,
-        router: NodeId,
-    ) -> Arc<RouterEstimate> {
-        self.cache
-            .slice_for(router)
-            .source(self.epoch)
-            .router_estimate(octant, provider, model, router)
-    }
-
-    fn dilated_region(
-        &self,
-        router: NodeId,
-        estimate: &RouterEstimate,
-        radius: Distance,
-    ) -> Option<Arc<GeoRegion>> {
-        self.cache
-            .slice_for(router)
-            .source(self.epoch)
-            .dilated_region(router, estimate, radius)
+        Some(
+            self.cache
+                .dilations
+                .get_or_compute(self.epoch, (router, class), || {
+                    let base = self
+                        .cache
+                        .contour_bases
+                        .get_or_compute(self.epoch, router, || ContourBase {
+                            region: region.clone(),
+                            contours: octant::piecewise::router_region_contours(region),
+                        });
+                    octant::piecewise::class_dilated_router_region(
+                        &base.region,
+                        &base.contours,
+                        class_radius,
+                    )
+                }),
+        )
     }
 }
 
@@ -723,44 +398,19 @@ mod tests {
 
     #[test]
     fn capacity_cap_spares_the_current_epoch() {
-        let cache = RouterCache::new(
-            RouterCacheConfig::default()
-                .with_max_entries(4)
-                .with_keep_epochs(2),
-        );
-        for id in 0..4 {
+        let cache = RouterCache::default();
+        for id in 0..LEVEL_CAP as u32 {
             cache.get_or_compute(1, NodeId(id), RouterEstimate::default);
         }
-        // Epoch 2 inserts push past the cap: epoch-1 entries are evicted,
-        // epoch-2 entries are never touched.
-        for id in 0..6 {
+        // The first epoch-2 insert at the cap evicts the retired epoch 1;
+        // epoch-2 entries are never touched, even past the cap.
+        for id in 0..LEVEL_CAP as u32 + 2 {
             cache.get_or_compute(2, NodeId(id), RouterEstimate::default);
         }
-        assert_eq!(cache.entries_for_epoch(2), 6);
-        assert!(cache.stats().evictions >= 2);
-        // Even over-cap inserts within one epoch are kept.
-        assert_eq!(cache.sub_localizations(), 10);
-    }
-
-    #[test]
-    fn concurrent_misses_deduplicate() {
-        let cache = RouterCache::default();
-        let calls = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..8 {
-                scope.spawn(|| {
-                    cache.get_or_compute(1, NodeId(3), || {
-                        calls.fetch_add(1, Ordering::SeqCst);
-                        // Widen the race window so racers really do overlap.
-                        std::thread::sleep(std::time::Duration::from_millis(10));
-                        RouterEstimate::default()
-                    });
-                });
-            }
-        });
-        assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(cache.sub_localizations(), 1);
-        assert_eq!(cache.stats().hits, 7);
+        assert_eq!(cache.entries_for_epoch(1), 0);
+        assert_eq!(cache.entries_for_epoch(2), LEVEL_CAP + 2);
+        assert_eq!(cache.stats().evictions, LEVEL_CAP as u64);
+        assert_eq!(cache.sub_localizations(), 2 * LEVEL_CAP as u64 + 2);
     }
 
     #[test]

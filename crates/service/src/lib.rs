@@ -13,19 +13,20 @@
 //!   prepares the new model outside the lock and swaps an `Arc`, so
 //!   in-flight requests finish on the snapshot they started with.
 //! * [`shard`] (control plane) — data-plane sizing ([`ShardConfig`]) and
-//!   the deterministic target → shard routing table ([`ShardRouter`],
-//!   hashed by /24 IP prefix).
+//!   the deterministic target → /24 prefix table ([`ShardRouter`]) that
+//!   picks each target's shard and keys its memoized answers.
 //! * [`cache`] — a **shared router sub-localization cache** keyed by
 //!   `(model epoch, router node)`. The §2.3
 //!   `RouterLocalization::Recursive` mode localizes last-hop routers with
 //!   full Octant sub-solves; those solves are target-independent, so the
 //!   cache computes each one exactly once per epoch (thread-safe via
-//!   `parking_lot` + per-entry `OnceLock` in-flight deduplication, with
-//!   hit/miss/eviction counters) and replays it to every target and request
-//!   that shares the router — results bit-identical to the uncached path on
-//!   a replay-stable provider. [`ShardedRouterCache`] slices it by router
-//!   id so all data-plane shards share one cache with divided lock
-//!   contention.
+//!   per-entry `OnceLock` in-flight deduplication, with
+//!   hit/miss/eviction counters) and replays it to every target, request
+//!   and shard that shares the router — results bit-identical to the
+//!   uncached path on a replay-stable provider.
+//! * [`answer_cache`] — the per-/24 answer memo in front of the pipeline.
+//!   It and the router cache's levels share one epoch-keyed memo type
+//!   (get-or-compute, retirement and one capacity rule).
 //! * [`service`] (data plane) — [`ShardedService`]: N shards, each owning
 //!   its own request queue, adaptive micro-batching policy, and worker
 //!   pool, with per-request **deadlines**, bounded-queue **admission
@@ -35,8 +36,8 @@
 //!
 //! The seam into `octant-core` is [`octant::RouterEstimateSource`]: the
 //! framework's recursive path consults the source instead of constructing a
-//! fresh sub-`Octant` inline, and [`cache::EpochRouterSource`] /
-//! [`cache::ShardedEpochSource`] are this crate's caching implementations.
+//! fresh sub-`Octant` inline, and [`cache::EpochRouterSource`] is this
+//! crate's caching implementation.
 //!
 //! ```
 //! use octant::{OctantConfig, RouterLocalization};
@@ -81,19 +82,14 @@
 
 pub mod answer_cache;
 pub mod cache;
+mod memo;
 pub mod registry;
 pub mod service;
 pub mod shard;
 pub mod stats;
 
-pub use answer_cache::{
-    AnswerCache, AnswerCacheConfig, AnswerCacheStats, AnswerKey, EvidenceKey, PrefixTable,
-    TargetKey,
-};
-pub use cache::{
-    EpochRouterSource, RouterCache, RouterCacheConfig, RouterCacheStats, ShardedEpochSource,
-    ShardedRouterCache,
-};
+pub use answer_cache::{AnswerCache, AnswerCacheStats, AnswerKey, EvidenceKey, TargetKey};
+pub use cache::{EpochRouterSource, RouterCache, RouterCacheConfig, RouterCacheStats};
 pub use octant_telemetry::{LatencyHistogram, LatencySummary};
 pub use registry::{ModelEpoch, ModelRegistry};
 pub use service::{

@@ -12,10 +12,9 @@
 //!   owning its own bounded request queue, its own worker pool, and its own
 //!   latency histogram. Targets route to shards deterministically by /24 IP
 //!   prefix, so repeat traffic for a prefix stays on one queue;
-//! * router sub-localizations live in the router-id-sliced
-//!   [`ShardedRouterCache`] shared by **all** shards, so the
-//!   exactly-once-per-router property (and the cache locality it buys)
-//!   survives the split.
+//! * router sub-localizations live in one [`RouterCache`] shared by **all**
+//!   shards, so the exactly-once-per-router property (and the cache
+//!   locality it buys) survives the split.
 //!
 //! [`GeolocationService`] — the pre-sharding name — is a type alias for
 //! [`ShardedService`]; with the default [`ShardConfig`] (`count = 1`,
@@ -48,10 +47,8 @@
 //! enqueue) for more to arrive before serving a small batch, trading a
 //! bounded latency bump for much better amortization under trickle load.
 
-use crate::answer_cache::{
-    AnswerCache, AnswerCacheConfig, AnswerCacheStats, AnswerKey, EvidenceKey, PrefixTable,
-};
-use crate::cache::{RouterCacheConfig, RouterCacheStats, ShardedRouterCache};
+use crate::answer_cache::{AnswerCache, AnswerKey, EvidenceKey};
+use crate::cache::{RouterCache, RouterCacheConfig};
 use crate::registry::ModelRegistry;
 use crate::shard::{ShardConfig, ShardRouter};
 use crate::stats::{
@@ -91,13 +88,9 @@ pub struct ServiceConfig {
     pub min_batch: usize,
     /// Longest time the oldest pending target may wait for batch-mates.
     pub max_wait: Duration,
-    /// Router sub-localization cache sizing and retention (applied to each
-    /// cache slice).
+    /// Router sub-localization cache configuration (the dilation radius
+    /// class).
     pub cache: RouterCacheConfig,
-    /// The per-target-prefix answer memo in front of the pipeline (see
-    /// [`crate::AnswerCache`]). Enabled by default; with a replay-stable
-    /// provider hits are bit-identical to fresh solves.
-    pub answers: AnswerCacheConfig,
     /// Data-plane sizing: shard count and per-shard queue bound. The
     /// default (`count = 1`, unbounded) reproduces the pre-sharding
     /// single-queue service exactly.
@@ -113,7 +106,6 @@ impl Default for ServiceConfig {
             min_batch: 4,
             max_wait: Duration::from_millis(2),
             cache: RouterCacheConfig::default(),
-            answers: AnswerCacheConfig::default(),
             shard: ShardConfig::default(),
         }
     }
@@ -130,10 +122,8 @@ octant::config_setters!(ServiceConfig {
     with_min_batch: min_batch: usize,
     /// Sets the longest wait for batch-mates.
     with_max_wait: max_wait: Duration,
-    /// Sets the router cache configuration (per slice).
+    /// Sets the router cache configuration.
     with_cache: cache: RouterCacheConfig,
-    /// Sets the answer-memo configuration.
-    with_answers: answers: AnswerCacheConfig,
     /// Sets the data-plane shard configuration.
     with_shard: shard: ShardConfig,
 });
@@ -480,9 +470,8 @@ struct ServiceInner<P> {
     config: ServiceConfig,
     batch: BatchGeolocator,
     registry: ModelRegistry,
-    cache: ShardedRouterCache,
+    cache: RouterCache,
     answers: AnswerCache,
-    prefixes: PrefixTable,
     router: ShardRouter,
     shards: Vec<Shard>,
 }
@@ -551,21 +540,16 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
             // estimates carry request-specific wall-time profiles). Hits
             // still count as served and record latency/queue_wait — they are
             // served requests, just cheap ones.
-            let cacheable = self.answers.enabled() && !profiled;
-            let evidence = if cacheable {
-                options.as_deref().map(EvidenceKey::from_options)
-            } else {
-                None
+            let evidence = options.as_deref().map(EvidenceKey::from_options);
+            let answer_key = |target| AnswerKey {
+                target: self.router.target_key(target),
+                evidence: evidence.clone(),
             };
-            if cacheable {
+            if !profiled {
                 let mut misses = Vec::with_capacity(members.len());
                 for pending in members {
-                    let key = AnswerKey {
-                        epoch: epoch_model.epoch,
-                        target: self.prefixes.target_key(pending.target),
-                        evidence: evidence.clone(),
-                    };
-                    let Some(estimate) = self.answers.lookup(&key) else {
+                    let key = answer_key(pending.target);
+                    let Some(estimate) = self.answers.lookup(epoch_model.epoch, &key) else {
                         misses.push(pending);
                         continue;
                     };
@@ -639,15 +623,12 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                     // Freshly solved answers enter the memo; a panicked
                     // group's unknown placeholders never do (the next
                     // request for the prefix deserves a real attempt).
-                    if cacheable {
+                    if !profiled {
                         for (pending, estimate) in members.iter().zip(&estimates) {
                             self.answers.insert(
-                                AnswerKey {
-                                    epoch: epoch_model.epoch,
-                                    target: self.prefixes.target_key(pending.target),
-                                    evidence: evidence.clone(),
-                                },
-                                Arc::new(estimate.clone()),
+                                epoch_model.epoch,
+                                answer_key(pending.target),
+                                estimate.clone(),
                             );
                         }
                     }
@@ -791,13 +772,11 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
         let octant = Octant::with_pipeline(config.octant, pipeline);
         let registry = ModelRegistry::bootstrap(octant.clone(), &provider, landmarks);
         let router = ShardRouter::build(&provider, shard_count);
-        let prefixes = PrefixTable::build(&provider);
         let inner = Arc::new(ServiceInner {
             batch: BatchGeolocator::from_octant(octant),
             registry,
-            cache: ShardedRouterCache::new(config.cache, shard_count),
-            answers: AnswerCache::new(config.answers),
-            prefixes,
+            cache: RouterCache::new(config.cache),
+            answers: AnswerCache::default(),
             router,
             shards: (0..shard_count).map(Shard::new).collect(),
             provider,
@@ -943,8 +922,8 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
     }
 
     /// Prepares a fresh model from `landmarks`, makes it the current epoch
-    /// without interrupting in-flight batches, and retires cache entries
-    /// older than the configured retention window. Returns the new epoch.
+    /// without interrupting in-flight batches, and retires cache entries of
+    /// older epochs. Returns the new epoch.
     pub fn refresh_model(&self, landmarks: &[NodeId]) -> u64 {
         let epoch = self.inner.registry.refresh(&self.inner.provider, landmarks);
         self.retire_caches(epoch);
@@ -990,18 +969,12 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
 
     /// Epoch retirement shared by refresh and registration: both the router
     /// cache (behind the pipeline) and the answer memo (in front of it)
-    /// drop epochs outside their retention windows. The epoch bump alone
-    /// already *invalidates* stale answers — epoch leads every key — so
-    /// retirement is about reclaiming memory promptly, not correctness.
+    /// keep only the current epoch. The epoch bump alone already
+    /// *invalidates* stale answers — epoch leads every key — so retirement
+    /// is about reclaiming memory promptly, not correctness.
     fn retire_caches(&self, epoch: u64) {
-        let keep = self.inner.config.cache.keep_epochs.max(1);
-        self.inner
-            .cache
-            .retire_epochs_before(epoch.saturating_sub(keep - 1));
-        let keep_answers = self.inner.config.answers.keep_epochs.max(1);
-        self.inner
-            .answers
-            .retire_epochs_before(epoch.saturating_sub(keep_answers - 1));
+        self.inner.cache.retire_epochs_before(epoch);
+        self.inner.answers.retire_epochs_before(epoch);
     }
 
     /// The current model epoch.
@@ -1020,21 +993,10 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
         self.inner.shards.len()
     }
 
-    /// The shared router sub-localization cache (sliced by router id;
-    /// counters, eviction).
-    pub fn cache(&self) -> &ShardedRouterCache {
+    /// The router sub-localization cache every shard shares (counters,
+    /// eviction).
+    pub fn cache(&self) -> &RouterCache {
         &self.inner.cache
-    }
-
-    /// The per-target-prefix answer memo (counters, eviction).
-    pub fn answer_cache(&self) -> &AnswerCache {
-        &self.inner.answers
-    }
-
-    /// Aggregate answer-memo counters. Shorthand for
-    /// `self.answer_cache().stats()`.
-    pub fn answer_cache_stats(&self) -> AnswerCacheStats {
-        self.inner.answers.stats()
     }
 
     /// The model registry (snapshots, external registration).
@@ -1102,12 +1064,6 @@ impl<P: ObservationProvider + Send + Sync + 'static> ShardedService<P> {
                 }
             })
             .collect()
-    }
-
-    /// Aggregate router-cache counters (summed over slices). Shorthand for
-    /// `self.cache().stats()`.
-    pub fn cache_stats(&self) -> RouterCacheStats {
-        self.inner.cache.stats()
     }
 
     /// The full observability export: [`ShardedService::stats`] plus the

@@ -6,11 +6,13 @@
 //! the target's /24 IP prefix** ([`ShardRouter`]): the prefix → shard map is
 //! a pure hash of static provider facts, so the same target lands on the
 //! same shard on every call — no cross-shard coordination, no rebalancing
-//! races, and repeat traffic for one prefix stays on one queue. Router
-//! sub-localizations are *not* per-shard: they live in the router-id-sliced
-//! [`crate::ShardedRouterCache`] shared by all shards, which is what keeps
-//! the exactly-R-sub-solves property global after the split.
+//! races, and repeat traffic for one prefix stays on one queue. The same
+//! prefix table keys the answer memo ([`ShardRouter::target_key`]). Router
+//! sub-localizations are *not* per-shard: they live in the one
+//! [`crate::RouterCache`] shared by all shards, which is what keeps the
+//! exactly-R-sub-solves property global after the split.
 
+use crate::answer_cache::TargetKey;
 use octant_netsim::observation::ObservationProvider;
 use octant_netsim::topology::NodeId;
 use std::collections::HashMap;
@@ -49,44 +51,41 @@ octant::config_setters!(ShardConfig {
     with_queue_capacity: queue_capacity: usize,
 });
 
-/// SplitMix64 — the deterministic, platform-independent mixer behind both
-/// shard-routing hashes (target prefixes here, router ids in the cache
-/// slicing). Stable across runs and machines by construction, so shard
+/// SplitMix64 — the deterministic, platform-independent mixer behind shard
+/// routing. Stable across runs and machines by construction, so shard
 /// assignment is reproducible.
-pub(crate) fn mix64(mut x: u64) -> u64 {
+fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
 }
 
-/// The control plane's target → shard routing table.
+/// The control plane's target → /24 prefix table.
 ///
-/// Built once from the provider's (static) host table: each host's /24 IP
-/// prefix is hashed to a shard. Targets the provider does not list fall
-/// back to hashing their raw node id, so routing is total. Within a model
-/// epoch — in fact, for the life of the provider — the assignment never
-/// changes.
+/// Built once from the provider's (static) host table. Each host's /24 IP
+/// prefix is both its answer-memo identity ([`ShardRouter::target_key`])
+/// and, hashed, its shard. Targets the provider does not list fall back to
+/// their raw node id, so routing is total. Within a model epoch — in fact,
+/// for the life of the provider — the assignment never changes.
 #[derive(Debug)]
 pub struct ShardRouter {
     shards: usize,
-    by_target: HashMap<NodeId, usize>,
+    prefixes: HashMap<NodeId, [u8; 3]>,
 }
 
 impl ShardRouter {
     /// Builds the routing table over `provider`'s hosts for `shards` shards.
     pub fn build(provider: &dyn ObservationProvider, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let by_target = provider
+        let prefixes = provider
             .hosts()
             .into_iter()
-            .map(|h| {
-                let prefix =
-                    u64::from(h.ip[0]) << 16 | u64::from(h.ip[1]) << 8 | u64::from(h.ip[2]);
-                (h.id, (mix64(prefix) % shards as u64) as usize)
-            })
+            .map(|h| (h.id, [h.ip[0], h.ip[1], h.ip[2]]))
             .collect();
-        ShardRouter { shards, by_target }
+        ShardRouter {
+            shards: shards.max(1),
+            prefixes,
+        }
     }
 
     /// Number of shards this table routes over.
@@ -98,9 +97,21 @@ impl ShardRouter {
     /// maps to the same shard, and targets sharing a /24 prefix share a
     /// shard.
     pub fn shard_for(&self, target: NodeId) -> usize {
-        match self.by_target.get(&target) {
-            Some(&shard) => shard,
-            None => (mix64(target.0 as u64) % self.shards as u64) as usize,
+        let hash = match self.target_key(target) {
+            TargetKey::Prefix([a, b, c]) => {
+                mix64(u64::from(a) << 16 | u64::from(b) << 8 | u64::from(c))
+            }
+            TargetKey::Node(node) => mix64(node.0 as u64),
+        };
+        (hash % self.shards as u64) as usize
+    }
+
+    /// The answer-memo identity of `target`: its /24 prefix when the host
+    /// table lists it, the node id otherwise.
+    pub fn target_key(&self, target: NodeId) -> TargetKey {
+        match self.prefixes.get(&target) {
+            Some(&prefix) => TargetKey::Prefix(prefix),
+            None => TargetKey::Node(target),
         }
     }
 }
@@ -151,6 +162,20 @@ mod tests {
         // A zero shard count is clamped to one, never a modulo-by-zero.
         let clamped = ShardRouter::build(&ds, 0);
         assert_eq!(clamped.shards(), 1);
+    }
+
+    #[test]
+    fn target_keys_are_slash24_prefixes() {
+        let ds = dataset(6, 7);
+        let router = ShardRouter::build(&ds, 4);
+        for h in ds.hosts() {
+            assert_eq!(
+                router.target_key(h.id),
+                TargetKey::Prefix([h.ip[0], h.ip[1], h.ip[2]])
+            );
+        }
+        let unknown = NodeId(987_654);
+        assert_eq!(router.target_key(unknown), TargetKey::Node(unknown));
     }
 
     #[test]

@@ -97,7 +97,7 @@ pub struct ServiceStats {
     pub queues: Vec<QueueSnapshot>,
     /// Quantiles of the merged per-shard latency histograms.
     pub latency: LatencySummary,
-    /// Router cache counters, summed over every cache slice.
+    /// Router cache counters (one cache shared by every shard).
     pub cache: RouterCacheStats,
     /// Answer-memo counters (the per-target-prefix estimate cache in front
     /// of the pipeline).

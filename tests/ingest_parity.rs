@@ -168,14 +168,14 @@ fn answer_memo_replays_bit_identical_estimates_until_epoch_refresh() {
     );
 
     let first = service.localize_blocking(&campaign.targets);
-    let cold = service.answer_cache_stats();
+    let cold = service.stats().answers;
     assert_eq!(cold.hits, 0, "cold traffic cannot hit");
     assert_eq!(cold.insertions as usize, campaign.targets.len());
 
     // Repeat traffic replays the memo: every target hits (no misses, so no
     // target reached the solver) and estimates are bit-identical.
     let second = service.localize_blocking(&campaign.targets);
-    let warm = service.answer_cache_stats();
+    let warm = service.stats().answers;
     assert_eq!(warm.hits as usize, campaign.targets.len());
     assert_eq!(warm.misses, cold.misses, "warm traffic never misses");
     assert_eq!(warm.insertions, cold.insertions);
@@ -190,7 +190,7 @@ fn answer_memo_replays_bit_identical_estimates_until_epoch_refresh() {
     let epoch = service.refresh_model(&campaign.landmarks);
     assert_eq!(epoch, 2);
     let third = service.localize_blocking(&campaign.targets);
-    let refreshed = service.answer_cache_stats();
+    let refreshed = service.stats().answers;
     assert_eq!(
         refreshed.hits, warm.hits,
         "post-refresh traffic must not hit stale epoch-1 entries"

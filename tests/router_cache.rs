@@ -12,7 +12,7 @@ use octant::{BatchGeolocator, Geolocator, Octant, OctantConfig, RouterLocalizati
 use octant_bench::{service_campaign, BatchCampaign};
 use octant_netsim::topology::NodeId;
 use octant_netsim::ObservationProvider;
-use octant_service::{AnswerCacheConfig, GeolocationService, RouterCache, ServiceConfig};
+use octant_service::{GeolocationService, LocalizeOptions, RouterCache, ServiceConfig};
 use std::collections::BTreeSet;
 
 fn recursive_config() -> OctantConfig {
@@ -57,16 +57,11 @@ fn n_targets_behind_r_routers_cost_exactly_r_sub_localizations_per_epoch() {
     );
 
     let provider = campaign.dataset.clone().into_shared();
-    // The per-target answer memo (default on) would absorb the repeat wave
-    // before it reaches the solver; this test pins the *router* cache's
-    // accounting, so the front memo is disabled to let repeats through.
-    // The (default-on) radius-class dilation cache is disabled too: its
-    // entries share the eviction counter this test asserts exact R-counts
-    // on.
+    // The (default-on) radius-class dilation cache is disabled: its entries
+    // share the eviction counter this test asserts exact R-counts on.
     let service = GeolocationService::start(
         ServiceConfig::default()
             .with_octant(recursive_config())
-            .with_answers(AnswerCacheConfig::default().with_enabled(false))
             .with_cache(
                 octant_service::RouterCacheConfig::default().with_dilation_radius_step_km(0.0),
             ),
@@ -84,13 +79,19 @@ fn n_targets_behind_r_routers_cost_exactly_r_sub_localizations_per_epoch() {
     );
     assert_eq!(service.cache().entries_for_epoch(1), r);
 
-    // Repeat traffic: answered entirely from cache — counter unchanged.
+    // Repeat traffic: answered entirely from cache — counter unchanged. The
+    // answer memo would absorb a plain repeat before it reaches the solver;
+    // a profiled request bypasses the memo, so it reaches the router cache.
     let hits_before = service.cache().stats().hits;
-    service.localize_blocking(&campaign.targets[..1]);
+    let repeat = service.localize_blocking_with_options(
+        &campaign.targets[..1],
+        LocalizeOptions::default().with_profiling(),
+    );
+    assert!(repeat[0].is_served());
     assert_eq!(service.cache().sub_localizations(), r as u64);
     assert!(service.cache().stats().hits > hits_before);
 
-    // New epoch: exactly R more, and epoch 1 is retired (keep_epochs = 1).
+    // New epoch: exactly R more, and epoch 1 is retired.
     let epoch = service.refresh_model(&campaign.landmarks);
     assert_eq!(epoch, 2);
     service.localize_blocking(&campaign.targets);

@@ -2,7 +2,9 @@
 //!
 //! * a `shards = 1` service (the default — the pre-sharding front door) and
 //!   a multi-shard service serve **bit-identical** estimates, both equal to
-//!   the offline recursive batch engine on a replay-stable dataset;
+//!   the offline recursive batch engine on a replay-stable dataset, and
+//!   make the same number of router sub-solves (one cache serves every
+//!   shard);
 //! * target → shard routing is deterministic across calls, traffic, and
 //!   model epochs;
 //! * deadlines and bounded queues shed with typed outcomes and correct
@@ -55,6 +57,11 @@ fn one_shard_and_many_shards_match_the_offline_batch_engine_bit_for_bit() {
     );
     assert_eq!(one.shard_count(), 1);
     let single = one.localize_blocking(&campaign.targets);
+    let single_sub_solves = one.cache().sub_localizations();
+    assert!(
+        single_sub_solves > 0,
+        "recursive serving sub-solves routers"
+    );
     one.shutdown();
 
     // A 3-shard data plane over the same provider.
@@ -79,6 +86,13 @@ fn one_shard_and_many_shards_match_the_offline_batch_engine_bit_for_bit() {
     for (&t, s) in campaign.targets.iter().zip(&multi) {
         assert_eq!(s.target, t);
     }
+    // Targets behind one router land on different shards, yet the shards
+    // share one router cache: each router is still sub-solved once.
+    assert_eq!(
+        sharded.cache().sub_localizations(),
+        single_sub_solves,
+        "3 shards must make exactly the 1-shard service's router sub-solves"
+    );
     sharded.shutdown();
 }
 

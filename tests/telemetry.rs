@@ -204,6 +204,12 @@ fn profiled_serving_reports_stage_breakdowns_that_cover_the_serve_wall() {
     service.shutdown();
     let names: Vec<&str> = report.stage_breakdown.iter().map(|b| b.name).collect();
     assert!(names.contains(&"queue_wait") && names.contains(&"solve"));
+    // Recursive serving dilates router regions through the radius-class
+    // cache; those dilations are timed like inline ones.
+    assert!(
+        names.contains(&"region.dilate"),
+        "cached dilations must open a region.dilate span (stages: {names:?})"
+    );
     // ≥90% coverage of the serve wall: the shard's stage histograms fold
     // each profiled target's stages, whose self-times partition the solve
     // span's wall — so summed stage time (minus queue wait, which is extra
