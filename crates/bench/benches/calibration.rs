@@ -4,11 +4,9 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use octant::calibration::{Calibration, CalibrationConfig, CalibrationSample};
-use octant::heights::Heights;
-use octant_geo::distance::great_circle;
+use octant::heights::{Heights, PairMatrix};
 use octant_geo::sites;
 use octant_geo::units::{Distance, Latency};
-use std::collections::HashMap;
 
 fn synthetic_samples(n: usize) -> Vec<CalibrationSample> {
     (1..=n)
@@ -41,23 +39,15 @@ fn bench_calibration(c: &mut Criterion) {
 
     // Height solve over the 51-site landmark set (the §2.2 least squares).
     let positions: Vec<_> = sites::planetlab_51().iter().map(|s| s.location()).collect();
-    let mut rtts: HashMap<(usize, usize), Latency> = HashMap::new();
-    for i in 0..positions.len() {
-        for j in 0..positions.len() {
-            if i == j {
-                continue;
-            }
-            let base = great_circle(positions[i], positions[j])
-                .min_rtt_over_fiber()
-                .ms();
-            rtts.insert(
-                (i, j),
-                Latency::from_ms(base + 2.0 + (i % 5) as f64 + (j % 3) as f64),
-            );
-        }
-    }
+    let distance = PairMatrix::great_circle(&positions);
+    let rtts = PairMatrix::from_fn(positions.len(), |i, j| {
+        (i != j).then(|| {
+            let base = distance.get(i, j).min_rtt_over_fiber().ms();
+            Latency::from_ms(base + 2.0 + (i % 5) as f64 + (j % 3) as f64)
+        })
+    });
     c.bench_function("heights/solve_51_landmarks", |b| {
-        b.iter(|| black_box(Heights::solve_landmarks(&positions, &rtts)))
+        b.iter(|| black_box(Heights::solve_landmarks(&rtts, &distance)))
     });
 }
 

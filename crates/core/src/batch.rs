@@ -39,13 +39,12 @@
 use crate::calibration::Calibration;
 use crate::constraint::Constraint;
 use crate::framework::{Geolocator, LocationEstimate, Octant, OctantConfig, RouterEstimateSource};
-use crate::heights::Heights;
+use crate::heights::{Heights, PairMatrix};
 use octant_geo::point::GeoPoint;
 use octant_geo::units::Latency;
 use octant_netsim::observation::ObservationProvider;
 use octant_netsim::topology::NodeId;
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// The target-independent half of an Octant solve, computed once per
 /// landmark set by [`Octant::prepare_landmarks`] and shared by every target
@@ -63,11 +62,12 @@ pub struct LandmarkModel {
     /// Calibration pooled over every landmark pair (used for router
     /// constraints, whose "landmark" is not in the calibrated set).
     pub(crate) global_calibration: Calibration,
-    /// Minimum RTT observed for each ordered inter-landmark pair, keyed by
-    /// node id. Retained so an incremental re-prepare
+    /// Minimum RTT observed for each ordered inter-landmark pair, indexed
+    /// like `lm_ids` (`None` on the diagonal and for unmeasured pairs).
+    /// Retained so an incremental re-prepare
     /// ([`Octant::prepare_landmarks_incremental`]) can reuse the
     /// measurements of unchanged pairs without re-querying the provider.
-    pub(crate) inter_rtts: HashMap<(NodeId, NodeId), Latency>,
+    pub(crate) inter_rtts: PairMatrix<Option<Latency>>,
     /// Landmarks that were supplied but dropped because they advertised no
     /// location (diagnosable via [`LandmarkModel::dropped_landmarks`] and
     /// every estimate's provenance report).

@@ -4,11 +4,10 @@
 use crate::batch::{LandmarkModel, TargetScratch};
 use crate::calibration::{Calibration, CalibrationConfig, CalibrationSample};
 use crate::constraint::{sanitize_weight, Constraint};
-use crate::heights::{adjust_rtt, estimate_target_height, Heights};
+use crate::heights::{adjust_rtt, estimate_target_height, Heights, PairMatrix};
 use crate::piecewise;
 use crate::pipeline::{EvidencePipeline, ProvenanceReport, SourceReport, TargetContext};
 use crate::solver::{SolveReport, Solver, SolverConfig};
-use octant_geo::distance::great_circle;
 use octant_geo::point::GeoPoint;
 use octant_geo::projection::AzimuthalEquidistant;
 use octant_geo::units::{Distance, Latency};
@@ -454,56 +453,24 @@ impl Octant {
         }
 
         // ---- Inter-landmark RTTs (for calibration and heights) ------------------
-        let mut inter: HashMap<(usize, usize), Latency> = HashMap::new();
-        for i in 0..lm_ids.len() {
-            for j in 0..lm_ids.len() {
-                if i == j {
-                    continue;
-                }
-                if let Some(rtt) = provider.min_rtt(lm_ids[i], lm_ids[j]) {
-                    inter.insert((i, j), rtt);
-                }
+        let inter_rtts = PairMatrix::from_fn(lm_ids.len(), |i, j| {
+            if i == j {
+                None
+            } else {
+                provider.min_rtt(lm_ids[i], lm_ids[j])
             }
-        }
+        });
 
-        // ---- Heights (§2.2) -----------------------------------------------------
-        let heights = if self.config.use_heights {
-            Heights::solve_landmarks(&lm_pos, &inter)
-        } else {
-            Heights::default()
-        };
-
-        // ---- Per-landmark calibration (§2.1) -------------------------------------
-        let mut calibrations: Vec<Calibration> = Vec::with_capacity(lm_ids.len());
-        let mut pooled: Vec<CalibrationSample> = Vec::new();
-        for i in 0..lm_ids.len() {
-            let mut samples = Vec::new();
-            for j in 0..lm_ids.len() {
-                if i == j {
-                    continue;
-                }
-                if let Some(&rtt) = inter.get(&(i, j)) {
-                    let adjusted = if self.config.use_heights {
-                        self.bounded_adjust(rtt, heights.get_ms(i), heights.get_ms(j))
-                    } else {
-                        rtt
-                    };
-                    let sample = CalibrationSample {
-                        latency: adjusted,
-                        distance: great_circle(lm_pos[i], lm_pos[j]),
-                    };
-                    samples.push(sample);
-                    pooled.push(sample);
-                }
-            }
-            calibrations.push(Calibration::from_samples(samples, self.config.calibration));
-        }
+        // ---- Heights (§2.2) and per-landmark calibration (§2.1) -----------------
+        let distance = PairMatrix::great_circle(&lm_pos);
+        let heights = self.solve_heights(&inter_rtts, &distance);
+        let (samples, pooled) = self.calibration_samples(&inter_rtts, &distance, &heights);
+        let calibrations = samples
+            .into_iter()
+            .map(|s| Calibration::from_samples(s, self.config.calibration))
+            .collect();
         let global_calibration = Calibration::from_samples(pooled, self.config.calibration);
 
-        let inter_rtts = inter
-            .iter()
-            .map(|(&(i, j), &rtt)| ((lm_ids[i], lm_ids[j]), rtt))
-            .collect();
         LandmarkModel {
             lm_ids,
             lm_pos,
@@ -513,6 +480,55 @@ impl Octant {
             inter_rtts,
             dropped,
         }
+    }
+
+    /// The §2.2 landmark heights, or none when heights are off.
+    fn solve_heights(
+        &self,
+        inter_rtts: &PairMatrix<Option<Latency>>,
+        distance: &PairMatrix<Distance>,
+    ) -> Heights {
+        if self.config.use_heights {
+            Heights::solve_landmarks(inter_rtts, distance)
+        } else {
+            Heights::default()
+        }
+    }
+
+    /// The §2.1 calibration samples of every landmark — entry `i` holds one
+    /// sample per peer `j` with a measured RTT, in `j` order, its latency
+    /// height-adjusted when heights are on — and their `i`-major
+    /// concatenation, to which the pooled calibration is fit.
+    fn calibration_samples(
+        &self,
+        inter_rtts: &PairMatrix<Option<Latency>>,
+        distance: &PairMatrix<Distance>,
+        heights: &Heights,
+    ) -> (Vec<Vec<CalibrationSample>>, Vec<CalibrationSample>) {
+        let n = inter_rtts.landmarks();
+        let mut pooled = Vec::new();
+        let per_landmark = (0..n)
+            .map(|i| {
+                let samples: Vec<CalibrationSample> = (0..n)
+                    .filter(|&j| j != i)
+                    .filter_map(|j| {
+                        let rtt = inter_rtts.get(i, j)?;
+                        let latency = if self.config.use_heights {
+                            self.bounded_adjust(rtt, heights.get_ms(i), heights.get_ms(j))
+                        } else {
+                            rtt
+                        };
+                        Some(CalibrationSample {
+                            latency,
+                            distance: distance.get(i, j),
+                        })
+                    })
+                    .collect();
+                pooled.extend_from_slice(&samples);
+                samples
+            })
+            .collect();
+        (per_landmark, pooled)
     }
 
     /// Re-prepares a landmark model after some landmarks' observation sets
@@ -563,7 +579,7 @@ impl Octant {
             let model = self.prepare_landmarks(provider, landmarks);
             let report = RecalibrationReport {
                 full_rebuild: true,
-                refreshed_pairs: model.inter_rtts.len(),
+                refreshed_pairs: model.inter_rtts.cells().iter().flatten().count(),
                 calibrations_rebuilt: model.lm_ids.len(),
                 ..RecalibrationReport::default()
             };
@@ -571,38 +587,33 @@ impl Octant {
         }
 
         // ---- Inter-landmark RTTs: re-ping only pairs with a changed endpoint ----
+        // The roster matched, so pair `(i, j)` is the same node pair in both
+        // models.
         let changed_set: std::collections::HashSet<NodeId> = changed.iter().copied().collect();
         let mut report = RecalibrationReport::default();
-        let mut inter: HashMap<(usize, usize), Latency> = HashMap::new();
         // Landmarks adjacent to a pair whose minimum actually moved.
         let mut dirty = vec![false; lm_ids.len()];
-        for i in 0..lm_ids.len() {
-            for j in 0..lm_ids.len() {
-                if i == j {
-                    continue;
-                }
-                let key = (lm_ids[i], lm_ids[j]);
-                let rtt = if changed_set.contains(&lm_ids[i]) || changed_set.contains(&lm_ids[j]) {
-                    report.refreshed_pairs += 1;
-                    let fresh = provider.min_rtt(lm_ids[i], lm_ids[j]);
-                    if fresh != previous.inter_rtts.get(&key).copied() {
-                        report.changed_pairs += 1;
-                        dirty[i] = true;
-                        dirty[j] = true;
-                    }
-                    fresh
-                } else {
-                    // Neither endpoint changed, so `previous` already holds
-                    // exactly what the provider would answer — including the
-                    // pair's absence.
-                    report.reused_pairs += 1;
-                    previous.inter_rtts.get(&key).copied()
-                };
-                if let Some(rtt) = rtt {
-                    inter.insert((i, j), rtt);
-                }
+        let inter_rtts = PairMatrix::from_fn(lm_ids.len(), |i, j| {
+            if i == j {
+                return None;
             }
-        }
+            if changed_set.contains(&lm_ids[i]) || changed_set.contains(&lm_ids[j]) {
+                report.refreshed_pairs += 1;
+                let fresh = provider.min_rtt(lm_ids[i], lm_ids[j]);
+                if fresh != previous.inter_rtts.get(i, j) {
+                    report.changed_pairs += 1;
+                    dirty[i] = true;
+                    dirty[j] = true;
+                }
+                fresh
+            } else {
+                // Neither endpoint changed, so `previous` already holds
+                // exactly what the provider would answer — including the
+                // pair's absence.
+                report.reused_pairs += 1;
+                previous.inter_rtts.get(i, j)
+            }
+        });
         if report.changed_pairs == 0 {
             // Every refreshed pair round-tripped to the same minimum: the
             // previous model *is* the from-scratch model.
@@ -614,12 +625,9 @@ impl Octant {
         // ---- Heights: always the full deterministic solve -----------------------
         // The least-squares system couples every landmark, so one moved pair
         // can shift all queuing-delay estimates; solving from the complete
-        // `inter` map keeps the result bit-identical to a full prepare.
-        let heights = if self.config.use_heights {
-            Heights::solve_landmarks(&lm_pos, &inter)
-        } else {
-            Heights::default()
-        };
+        // matrix keeps the result bit-identical to a full prepare.
+        let distance = PairMatrix::great_circle(&lm_pos);
+        let heights = self.solve_heights(&inter_rtts, &distance);
         report.heights_reused = heights == previous.heights;
 
         // ---- Calibrations: rebuild hulls only where inputs moved ----------------
@@ -627,42 +635,22 @@ impl Octant {
         // arithmetic, and the pooled calibration needs them in the exact
         // i-major order of a full prepare); the convex-hull fit is reused
         // for landmarks whose samples provably match the previous model's.
-        let mut calibrations: Vec<Calibration> = Vec::with_capacity(lm_ids.len());
-        let mut pooled: Vec<CalibrationSample> = Vec::new();
-        for i in 0..lm_ids.len() {
-            let mut samples = Vec::new();
-            for j in 0..lm_ids.len() {
-                if i == j {
-                    continue;
+        let (samples, pooled) = self.calibration_samples(&inter_rtts, &distance, &heights);
+        let calibrations = samples
+            .into_iter()
+            .enumerate()
+            .map(|(i, samples)| {
+                if report.heights_reused && !dirty[i] {
+                    report.calibrations_reused += 1;
+                    previous.calibrations[i].clone()
+                } else {
+                    report.calibrations_rebuilt += 1;
+                    Calibration::from_samples(samples, self.config.calibration)
                 }
-                if let Some(&rtt) = inter.get(&(i, j)) {
-                    let adjusted = if self.config.use_heights {
-                        self.bounded_adjust(rtt, heights.get_ms(i), heights.get_ms(j))
-                    } else {
-                        rtt
-                    };
-                    let sample = CalibrationSample {
-                        latency: adjusted,
-                        distance: great_circle(lm_pos[i], lm_pos[j]),
-                    };
-                    samples.push(sample);
-                    pooled.push(sample);
-                }
-            }
-            if report.heights_reused && !dirty[i] {
-                report.calibrations_reused += 1;
-                calibrations.push(previous.calibrations[i].clone());
-            } else {
-                report.calibrations_rebuilt += 1;
-                calibrations.push(Calibration::from_samples(samples, self.config.calibration));
-            }
-        }
+            })
+            .collect();
         let global_calibration = Calibration::from_samples(pooled, self.config.calibration);
 
-        let inter_rtts = inter
-            .iter()
-            .map(|(&(i, j), &rtt)| ((lm_ids[i], lm_ids[j]), rtt))
-            .collect();
         let model = LandmarkModel {
             lm_ids,
             lm_pos,
@@ -1087,7 +1075,9 @@ pub(crate) fn host_ip(provider: &dyn ObservationProvider, id: NodeId) -> Option<
 /// the top quartile on the unit sphere.
 ///
 /// Constraints share a few projections, so each candidate is projected
-/// once per distinct one: what [`GeoRegion::contains`] does, hoisted.
+/// once per distinct one: what [`GeoRegion::contains`] does, hoisted. Each
+/// constraint's region answers through a containment probe prepared once
+/// ([`octant_region::Region::prepare_contains`]), with the same answers.
 ///
 /// `candidates` and `scored` are caller-owned scratch buffers (cleared here)
 /// so the batch engine can reuse their capacity across targets.
@@ -1123,6 +1113,10 @@ fn weighted_point_estimate(
                 })
         })
         .collect();
+    let probes: Vec<_> = constraints
+        .iter()
+        .map(|c| c.region.region().prepare_contains())
+        .collect();
     let mut planes = Vec::with_capacity(projections.len());
     scored.clear();
     for &p in candidates.iter() {
@@ -1131,8 +1125,9 @@ fn weighted_point_estimate(
         let score: f64 = constraints
             .iter()
             .zip(&slots)
-            .map(|(c, &slot)| {
-                if c.region.region().contains(planes[slot]) {
+            .zip(&probes)
+            .map(|((c, &slot), probe)| {
+                if probe.contains(planes[slot]) {
                     if c.is_positive() {
                         c.weight
                     } else {
@@ -1334,6 +1329,13 @@ mod tests {
         let shrunk: Vec<NodeId> = landmarks[..6].to_vec();
         let (inc, report) = octant.prepare_landmarks_incremental(&ds, &shrunk, &previous, &[]);
         assert!(report.full_rebuild);
+        // A full rebuild refreshes every measured ordered pair.
+        let measured = shrunk
+            .iter()
+            .flat_map(|&a| shrunk.iter().map(move |&b| (a, b)))
+            .filter(|&(a, b)| a != b && ds.min_rtt(a, b).is_some())
+            .count();
+        assert_eq!(report.refreshed_pairs, measured);
         let full = octant.prepare_landmarks(&ds, &shrunk);
         assert_models_identical(&full, &inc);
     }

@@ -17,17 +17,71 @@
 //!
 //! Each observed pair `(i, j)` is a row with a 1 in columns `i` and `j`.
 //! [`Heights::solve_landmarks`] accumulates AᵀA and Aᵀb straight from the
-//! sorted rows and equals the dense `Aᵀ·A`, `Aᵀ·b` bit for bit: every AᵀA
-//! entry is a count of rows, exact in `f64` in any order; every Aᵀb entry
-//! adds the same non-negative queuing terms in the same row order, which
-//! the dense product only interleaves with `0 · b = +0` terms that change
-//! no sum. The dense construction survives as the tests' oracle.
+//! rows in row-major pair order and equals the dense `Aᵀ·A`, `Aᵀ·b` bit for
+//! bit: every AᵀA entry is a count of rows, exact in `f64` in any order;
+//! every Aᵀb entry adds the same non-negative queuing terms in the same row
+//! order, which the dense product only interleaves with `0 · b = +0` terms
+//! that change no sum. The dense construction survives as the tests'
+//! oracle.
 
 use crate::linalg::{solve_square, Matrix};
-use octant_geo::distance::{great_circle, HaversinePoint};
+use octant_geo::distance::HaversinePoint;
 use octant_geo::point::GeoPoint;
 use octant_geo::units::{Distance, Latency};
-use std::collections::HashMap;
+
+/// A row-major `n × n` matrix over ordered landmark pairs: cell `(i, j)`
+/// belongs to the pair from landmark `i` to landmark `j`. Row-major order is
+/// the order the heights solve adds its rows in.
+#[derive(Debug, Clone, PartialEq)]
+pub struct PairMatrix<T> {
+    n: usize,
+    cells: Vec<T>,
+}
+
+impl<T: Copy> PairMatrix<T> {
+    /// Builds the matrix from `cell(i, j)`, called in row-major order.
+    pub fn from_fn(n: usize, mut cell: impl FnMut(usize, usize) -> T) -> Self {
+        let mut cells = Vec::with_capacity(n * n);
+        for i in 0..n {
+            for j in 0..n {
+                cells.push(cell(i, j));
+            }
+        }
+        PairMatrix { n, cells }
+    }
+
+    /// The number of landmarks (rows, and columns).
+    pub fn landmarks(&self) -> usize {
+        self.n
+    }
+
+    /// Cell `(i, j)`.
+    pub fn get(&self, i: usize, j: usize) -> T {
+        self.cells[i * self.n + j]
+    }
+
+    /// Every cell in row-major order.
+    pub fn cells(&self) -> &[T] {
+        &self.cells
+    }
+}
+
+impl PairMatrix<Distance> {
+    /// The great-circle distance of every ordered pair of `positions`
+    /// (zero on the diagonal), each position prepared once: cell `(i, j)`
+    /// is `great_circle(positions[i], positions[j])` bit for bit.
+    pub fn great_circle(positions: &[GeoPoint]) -> Self {
+        let prepared: Vec<HaversinePoint> =
+            positions.iter().map(|&p| HaversinePoint::new(p)).collect();
+        PairMatrix::from_fn(positions.len(), |i, j| {
+            if i == j {
+                Distance::from_km(0.0)
+            } else {
+                Distance::from_km(prepared[i].distance_km(&prepared[j]))
+            }
+        })
+    }
+}
 
 /// Heights (minimum attributable queuing delay, in milliseconds) for a set of
 /// landmarks, keyed by an opaque landmark index chosen by the caller.
@@ -39,39 +93,39 @@ pub struct Heights {
 impl Heights {
     /// Solves the landmark-height system from pairwise observations.
     ///
-    /// `positions[i]` is landmark `i`'s (approximately) known location and
-    /// `rtt[(i, j)]` the minimum observed RTT between landmarks `i` and `j`.
-    /// Missing pairs are simply skipped. With fewer than two usable pairs all
-    /// heights are zero.
+    /// `rtt` holds the minimum observed RTT from landmark `i` to landmark
+    /// `j` and `distance` the great-circle distance between their
+    /// (approximately) known locations ([`PairMatrix::great_circle`]).
+    /// Missing pairs and the diagonal are skipped. With fewer than two
+    /// usable pairs all heights are zero.
+    ///
+    /// The rows are added in row-major pair order: the solve is sensitive
+    /// to row order in its floating-point rounding, and a fixed order makes
+    /// the heights — and everything derived from them — bit-reproducible,
+    /// in particular between the batch engine's shared landmark model and a
+    /// per-target sequential solve.
     pub fn solve_landmarks(
-        positions: &[GeoPoint],
-        rtt: &HashMap<(usize, usize), Latency>,
+        rtt: &PairMatrix<Option<Latency>>,
+        distance: &PairMatrix<Distance>,
     ) -> Heights {
-        let n = positions.len();
+        let n = rtt.landmarks();
+        debug_assert_eq!(distance.landmarks(), n);
         if n == 0 {
             return Heights {
                 values_ms: Vec::new(),
             };
         }
-        // Sort the observations: HashMap iteration order varies per map
-        // instance, and the solve is sensitive to row order in its
-        // floating-point rounding. Deterministic row order makes the
-        // heights — and everything derived from them — bit-reproducible, in
-        // particular between the batch engine's shared landmark model and a
-        // per-target sequential solve.
-        let mut observations: Vec<((usize, usize), Latency)> =
-            rtt.iter().map(|(&k, &v)| (k, v)).collect();
-        observations.sort_unstable_by_key(|&(k, _)| k);
         // Each observation is the row `h_i + h_j = queuing`; accumulate the
         // normal equations AᵀA·h = Aᵀb straight from those rows.
         let mut ata = Matrix::zeros(n, n);
         let mut atb = vec![0.0; n];
         let mut rows = 0usize;
-        for ((i, j), lat) in observations {
-            if i >= n || j >= n || i == j {
+        for (cell, lat) in rtt.cells().iter().enumerate() {
+            let (i, j) = (cell / n, cell % n);
+            let Some(lat) = lat.filter(|_| i != j) else {
                 continue;
-            }
-            let transmission = great_circle(positions[i], positions[j]).min_rtt_over_fiber();
+            };
+            let transmission = distance.get(i, j).min_rtt_over_fiber();
             let queuing = (lat.ms() - transmission.ms()).max(0.0);
             ata[(i, i)] += 1.0;
             ata[(j, j)] += 1.0;
@@ -143,8 +197,10 @@ pub struct TargetHeight {
 /// residual). Both steps are deterministic.
 ///
 /// The grid search measures hundreds of candidates against every landmark,
-/// so each landmark is prepared once ([`HaversinePoint`]) and one residual
-/// buffer serves every candidate; distances stay [`great_circle`]'s bits.
+/// so each landmark is prepared once ([`HaversinePoint`]), one residual
+/// buffer serves every candidate, and each landmark's haversine latitude
+/// terms are kept per grid row and its longitude terms per grid column;
+/// distances stay `great_circle`'s bits.
 pub fn estimate_target_height(
     landmark_positions: &[GeoPoint],
     landmark_heights: &Heights,
@@ -175,20 +231,23 @@ pub fn estimate_target_height(
 
     // Initial position: landmarks weighted by inverse squared latency.
     let mut best = weighted_centroid(&obs);
-    let mut best_cost = cost_at(best, &obs, &mut residuals).0;
+    residuals_at(best, &obs, &mut residuals);
+    let mut best_cost = cost_of(&mut residuals).0;
 
     // Coarse-to-fine grid search around the current best position.
+    const STEPS: i32 = 7;
+    let mut terms = GridTerms::new(obs.len(), 2 * STEPS as usize + 1);
     let mut span_deg = 20.0;
     for _ in 0..5 {
-        let steps = 7;
         let mut improved = false;
-        for dy in -steps..=steps {
-            for dx in -steps..=steps {
+        for dy in -STEPS..=STEPS {
+            for (column, dx) in (-STEPS..=STEPS).enumerate() {
                 let cand = GeoPoint::new(
-                    best.lat + span_deg * dy as f64 / steps as f64,
-                    best.lon + span_deg * dx as f64 / steps as f64,
+                    best.lat + span_deg * dy as f64 / STEPS as f64,
+                    best.lon + span_deg * dx as f64 / STEPS as f64,
                 );
-                let (cost, _) = cost_at(cand, &obs, &mut residuals);
+                terms.residuals(cand, column, &obs, &mut residuals);
+                let (cost, _) = cost_of(&mut residuals);
                 if cost < best_cost {
                     best_cost = cost;
                     best = cand;
@@ -202,12 +261,13 @@ pub fn estimate_target_height(
         }
     }
 
-    let (_, height) = cost_at(best, &obs, &mut residuals);
+    residuals_at(best, &obs, &mut residuals);
+    let (_, height) = cost_of(&mut residuals);
     let at = HaversinePoint::new(best);
     let rms = (obs
         .iter()
         .map(|o| {
-            let r = o.excess_ms - height - transmission_ms(&at, &o.site);
+            let r = o.excess_ms - height - transmission_ms(at.distance_km(&o.site));
             r * r
         })
         .sum::<f64>()
@@ -236,17 +296,90 @@ struct Observation {
     excess_ms: f64,
 }
 
-/// `great_circle(from, to).min_rtt_over_fiber()` in milliseconds, from
-/// prepared points.
-fn transmission_ms(from: &HaversinePoint, to: &HaversinePoint) -> f64 {
-    Distance::from_km(from.distance_km(to))
-        .min_rtt_over_fiber()
-        .ms()
+/// `Distance::from_km(km).min_rtt_over_fiber()` in milliseconds.
+fn transmission_ms(km: f64) -> f64 {
+    Distance::from_km(km).min_rtt_over_fiber().ms()
 }
 
-/// For a candidate target position, picks the height that explains the
-/// residuals and returns (sum of squared residuals with that height, height).
-/// `residuals` is scratch space, overwritten.
+/// Fills `residuals` with each landmark's residual for a target at
+/// `candidate`: `rtt − landmark height − transmission`.
+fn residuals_at(candidate: GeoPoint, obs: &[Observation], residuals: &mut Vec<f64>) {
+    let at = HaversinePoint::new(candidate);
+    residuals.clear();
+    residuals.extend(
+        obs.iter()
+            .map(|o| o.excess_ms - transmission_ms(at.distance_km(&o.site))),
+    );
+}
+
+/// Every landmark's haversine terms for the grid candidates of
+/// [`estimate_target_height`]. A candidate's latitude changes only from row
+/// to row and its longitude only from column to column, so the latitude
+/// terms are kept for one latitude and the longitude terms for one
+/// longitude per column.
+///
+/// The slots are keyed by the candidate's coordinate bits rather than by
+/// grid position: `best` can move mid-pass, which shifts every later
+/// candidate, and `GeoPoint::new` clamps the latitude and wraps the
+/// longitude independently, so a coordinate's bits are exactly what its
+/// terms depend on.
+struct GridTerms {
+    lat_key: Option<u64>,
+    lat: Vec<f64>,
+    lon_keys: Vec<Option<u64>>,
+    /// Column `k`'s terms at `k * landmarks..(k + 1) * landmarks`.
+    lon: Vec<f64>,
+}
+
+impl GridTerms {
+    fn new(landmarks: usize, columns: usize) -> Self {
+        GridTerms {
+            lat_key: None,
+            lat: vec![0.0; landmarks],
+            lon_keys: vec![None; columns],
+            lon: vec![0.0; landmarks * columns],
+        }
+    }
+
+    /// [`residuals_at`] for a candidate in grid column `column`, refreshing
+    /// the terms whose key moved.
+    fn residuals(
+        &mut self,
+        candidate: GeoPoint,
+        column: usize,
+        obs: &[Observation],
+        residuals: &mut Vec<f64>,
+    ) {
+        let at = HaversinePoint::new(candidate);
+        let lat_key = Some(candidate.lat.to_bits());
+        if self.lat_key != lat_key {
+            self.lat_key = lat_key;
+            for (term, o) in self.lat.iter_mut().zip(obs) {
+                *term = at.lat_term(&o.site);
+            }
+        }
+        let lon = &mut self.lon[column * obs.len()..(column + 1) * obs.len()];
+        let lon_key = Some(candidate.lon.to_bits());
+        if self.lon_keys[column] != lon_key {
+            self.lon_keys[column] = lon_key;
+            for (term, o) in lon.iter_mut().zip(obs) {
+                *term = at.lon_term(&o.site);
+            }
+        }
+        residuals.clear();
+        residuals.extend(
+            obs.iter()
+                .zip(&self.lat)
+                .zip(&*lon)
+                .map(|((o, &lat), &lon)| {
+                    o.excess_ms - transmission_ms(at.distance_from_terms(&o.site, lat, lon))
+                }),
+        );
+    }
+}
+
+/// Picks the height that explains one candidate's residuals and returns
+/// (sum of squared residuals with that height, height). Sorts `residuals`.
 ///
 /// The residual of each landmark is `rtt − landmark height − transmission`,
 /// which still contains that path's route inflation. A mean estimator would
@@ -254,13 +387,7 @@ fn transmission_ms(from: &HaversinePoint, to: &HaversinePoint) -> f64 {
 /// every subsequent constraint, so the height is taken from the lower
 /// quartile of the residuals: the least-inflated paths are the ones whose
 /// residual is closest to the pure queuing component.
-fn cost_at(candidate: GeoPoint, obs: &[Observation], residuals: &mut Vec<f64>) -> (f64, f64) {
-    let at = HaversinePoint::new(candidate);
-    residuals.clear();
-    residuals.extend(
-        obs.iter()
-            .map(|o| o.excess_ms - transmission_ms(&at, &o.site)),
-    );
+fn cost_of(residuals: &mut [f64]) -> (f64, f64) {
     // The full sort, not a selection: the cost below is summed in sorted
     // order, and that order fixes its rounding.
     residuals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
@@ -295,26 +422,24 @@ mod tests {
     use super::*;
     use crate::linalg::dense;
     use octant_geo::cities;
-    use octant_geo::distance::great_circle_km;
+    use octant_geo::distance::{great_circle, great_circle_km};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
     /// The dense construction of [`Heights::solve_landmarks`]: one explicit
-    /// row per observation, then `dense::solve_least_squares`.
-    fn dense_heights(positions: &[GeoPoint], rtt: &HashMap<(usize, usize), Latency>) -> Heights {
+    /// row per observation, each pair measured with `great_circle`, then
+    /// `dense::solve_least_squares`.
+    fn dense_heights(positions: &[GeoPoint], rtt: &PairMatrix<Option<Latency>>) -> Heights {
         let n = positions.len();
         if n == 0 {
             return Heights::default();
         }
-        let mut observations: Vec<((usize, usize), Latency)> =
-            rtt.iter().map(|(&k, &v)| (k, v)).collect();
-        observations.sort_unstable_by_key(|&(k, _)| k);
         let mut rows: Vec<Vec<f64>> = Vec::new();
         let mut rhs: Vec<f64> = Vec::new();
-        for ((i, j), lat) in observations {
-            if i >= n || j >= n || i == j {
+        for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+            let Some(lat) = rtt.get(i, j).filter(|_| i != j) else {
                 continue;
-            }
+            };
             let transmission = great_circle(positions[i], positions[j]).min_rtt_over_fiber();
             let mut row = vec![0.0; n];
             row[i] = 1.0;
@@ -453,13 +578,19 @@ mod tests {
             .collect()
     }
 
+    /// [`Heights::solve_landmarks`] over `positions`' distances.
+    fn solve(positions: &[GeoPoint], rtt: &PairMatrix<Option<Latency>>) -> Heights {
+        Heights::solve_landmarks(rtt, &PairMatrix::great_circle(positions))
+    }
+
     /// Inter-landmark RTTs over fiber plus per-node heights and inflation
     /// noise, with some pairs missing altogether and some observed one way
     /// only.
-    fn seeded_rtts(rng: &mut StdRng, positions: &[GeoPoint]) -> HashMap<(usize, usize), Latency> {
+    fn seeded_rtts(rng: &mut StdRng, positions: &[GeoPoint]) -> PairMatrix<Option<Latency>> {
         let heights: Vec<f64> = positions.iter().map(|_| rng.gen_range(0.0..6.0)).collect();
-        let mut map = HashMap::new();
-        for i in 0..positions.len() {
+        let n = positions.len();
+        let mut cells = vec![None; n * n];
+        for i in 0..n {
             for j in (i + 1)..positions.len() {
                 let trans = great_circle(positions[i], positions[j])
                     .min_rtt_over_fiber()
@@ -471,14 +602,14 @@ mod tests {
                 // 0: pair missing; 1 and 2: one direction only; else both.
                 let shape = rng.gen_range(0..10u32);
                 if shape == 1 || shape > 2 {
-                    map.insert((i, j), rtt(rng));
+                    cells[i * n + j] = Some(rtt(rng));
                 }
                 if shape >= 2 {
-                    map.insert((j, i), rtt(rng));
+                    cells[j * n + i] = Some(rtt(rng));
                 }
             }
         }
-        map
+        PairMatrix::from_fn(n, |i, j| cells[i * n + j])
     }
 
     #[test]
@@ -496,11 +627,21 @@ mod tests {
         {
             for round in 0..3 {
                 let positions = scattered(&mut rng, n, lat, lon, spread);
-                let mut rtt = seeded_rtts(&mut rng, &positions);
-                // Out-of-range and self pairs are skipped by both solves.
-                rtt.insert((0, 0), Latency::from_ms(1.0));
-                rtt.insert((n, 0), Latency::from_ms(1.0));
-                let sparse = Heights::solve_landmarks(&positions, &rtt);
+                let seeded = seeded_rtts(&mut rng, &positions);
+                // Self pairs are skipped by both solves.
+                let rtt = PairMatrix::from_fn(n, |i, j| {
+                    if (i, j) == (0, 0) {
+                        Some(Latency::from_ms(1.0))
+                    } else {
+                        seeded.get(i, j)
+                    }
+                });
+                let distance = PairMatrix::great_circle(&positions);
+                for (i, j) in (0..n).flat_map(|i| (0..n).map(move |j| (i, j))) {
+                    let literal = great_circle(positions[i], positions[j]).km();
+                    assert_eq!(distance.get(i, j).km().to_bits(), literal.to_bits());
+                }
+                let sparse = Heights::solve_landmarks(&rtt, &distance);
                 let dense = dense_heights(&positions, &rtt);
                 assert_eq!(
                     height_bits(&sparse),
@@ -512,10 +653,10 @@ mod tests {
         }
         // A landmark with no usable pair at all: both solves lean on the ridge.
         let positions = positions();
-        let mut rtt = synthetic_rtts(&positions, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        rtt.retain(|&(i, j), _| i != 5 && j != 5);
+        let all = synthetic_rtts(&positions, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        let rtt = PairMatrix::from_fn(6, |i, j| all.get(i, j).filter(|_| i != 5 && j != 5));
         assert_eq!(
-            height_bits(&Heights::solve_landmarks(&positions, &rtt)),
+            height_bits(&solve(&positions, &rtt)),
             height_bits(&dense_heights(&positions, &rtt))
         );
     }
@@ -538,7 +679,7 @@ mod tests {
                 let n = rng.gen_range(3..30usize);
                 let positions = scattered(&mut rng, n, lat, lon, spread);
                 let rtt = seeded_rtts(&mut rng, &positions);
-                let heights = Heights::solve_landmarks(&positions, &rtt);
+                let heights = solve(&positions, &rtt);
                 let target = GeoPoint::new(
                     lat + rng.gen_range(-spread..spread),
                     lon + rng.gen_range(-spread..spread),
@@ -585,21 +726,17 @@ mod tests {
             .collect()
     }
 
-    /// Builds an RTT map from positions and per-node heights with no noise.
-    fn synthetic_rtts(positions: &[GeoPoint], heights: &[f64]) -> HashMap<(usize, usize), Latency> {
-        let mut map = HashMap::new();
-        for i in 0..positions.len() {
-            for j in 0..positions.len() {
-                if i == j {
-                    continue;
-                }
+    /// Builds an RTT matrix from positions and per-node heights with no
+    /// noise.
+    fn synthetic_rtts(positions: &[GeoPoint], heights: &[f64]) -> PairMatrix<Option<Latency>> {
+        PairMatrix::from_fn(positions.len(), |i, j| {
+            (i != j).then(|| {
                 let trans = great_circle(positions[i], positions[j])
                     .min_rtt_over_fiber()
                     .ms();
-                map.insert((i, j), Latency::from_ms(trans + heights[i] + heights[j]));
-            }
-        }
-        map
+                Latency::from_ms(trans + heights[i] + heights[j])
+            })
+        })
     }
 
     #[test]
@@ -607,7 +744,7 @@ mod tests {
         let pos = positions();
         let true_heights = [2.0, 5.0, 1.0, 8.0, 3.0, 0.5];
         let rtts = synthetic_rtts(&pos, &true_heights);
-        let solved = Heights::solve_landmarks(&pos, &rtts);
+        let solved = solve(&pos, &rtts);
         assert_eq!(solved.len(), pos.len());
         for (i, &truth) in true_heights.iter().enumerate() {
             assert!(
@@ -622,13 +759,13 @@ mod tests {
     fn landmark_heights_tolerate_noise_and_stay_nonnegative() {
         let pos = positions();
         let true_heights = [2.0, 5.0, 1.0, 8.0, 3.0, 0.0];
-        let mut rtts = synthetic_rtts(&pos, &true_heights);
+        let exact = synthetic_rtts(&pos, &true_heights);
         // Perturb every measurement by a deterministic pseudo-noise.
-        for (k, v) in rtts.iter_mut() {
-            let bump = ((k.0 * 7 + k.1 * 13) % 5) as f64 * 0.3;
-            *v = Latency::from_ms(v.ms() + bump);
-        }
-        let solved = Heights::solve_landmarks(&pos, &rtts);
+        let rtts = PairMatrix::from_fn(pos.len(), |i, j| {
+            let bump = ((i * 7 + j * 13) % 5) as f64 * 0.3;
+            exact.get(i, j).map(|v| Latency::from_ms(v.ms() + bump))
+        });
+        let solved = solve(&pos, &rtts);
         for (i, &truth) in true_heights.iter().enumerate() {
             assert!(solved.get_ms(i) >= 0.0);
             assert!(
@@ -641,12 +778,12 @@ mod tests {
 
     #[test]
     fn degenerate_height_systems() {
-        let empty = Heights::solve_landmarks(&[], &HashMap::new());
+        let empty = solve(&[], &PairMatrix::from_fn(0, |_, _| None));
         assert!(empty.is_empty());
         assert_eq!(empty.get_ms(3), 0.0);
 
         let pos = positions();
-        let too_few = Heights::solve_landmarks(&pos, &HashMap::new());
+        let too_few = solve(&pos, &PairMatrix::from_fn(pos.len(), |_, _| None));
         assert_eq!(too_few.len(), pos.len());
         assert!(too_few.as_slice().iter().all(|&h| h == 0.0));
     }
@@ -656,7 +793,7 @@ mod tests {
         let pos = positions();
         let true_heights = [2.0, 5.0, 1.0, 8.0, 3.0, 0.5];
         let rtts = synthetic_rtts(&pos, &true_heights);
-        let heights = Heights::solve_landmarks(&pos, &rtts);
+        let heights = solve(&pos, &rtts);
 
         // A target in Pittsburgh with a 6 ms last-mile delay.
         let target = cities::by_code("pit").unwrap().location();
@@ -685,7 +822,7 @@ mod tests {
     #[test]
     fn target_height_with_missing_measurements() {
         let pos = positions();
-        let heights = Heights::solve_landmarks(&pos, &synthetic_rtts(&pos, &[1.0; 6]));
+        let heights = solve(&pos, &synthetic_rtts(&pos, &[1.0; 6]));
         let mut target_rtts: Vec<Option<Latency>> = vec![None; pos.len()];
         target_rtts[0] = Some(Latency::from_ms(20.0));
         target_rtts[2] = Some(Latency::from_ms(30.0));
@@ -715,7 +852,7 @@ mod tests {
         ];
         let truth = [4.0, 1.0, 2.5];
         let rtts = synthetic_rtts(&pos, &truth);
-        let h = Heights::solve_landmarks(&pos, &rtts);
+        let h = solve(&pos, &rtts);
         for (i, &t) in truth.iter().enumerate() {
             assert!((h.get_ms(i) - t).abs() < 0.05);
         }

@@ -17,6 +17,14 @@ use crate::EARTH_RADIUS_KM;
 /// `HaversinePoint`s, so a caller that measures one point against many
 /// others can prepare each point once and get the same distances bit for
 /// bit with two fewer trig calls per pair.
+///
+/// The distance is assembled from three pieces: a latitude term
+/// ([`HaversinePoint::lat_term`]), which depends only on the two latitudes,
+/// a longitude term ([`HaversinePoint::lon_term`]), which depends only on
+/// the two longitudes, and [`HaversinePoint::distance_from_terms`]. A
+/// caller measuring a grid of points against fixed sites can keep a row's
+/// latitude terms and a column's longitude terms and still get the same
+/// bits.
 #[derive(Debug, Clone, Copy)]
 pub struct HaversinePoint {
     lat_rad: f64,
@@ -37,10 +45,25 @@ impl HaversinePoint {
 
     /// Great-circle distance to `other`, in kilometers.
     pub fn distance_km(&self, other: &HaversinePoint) -> f64 {
-        let dlat = other.lat_rad - self.lat_rad;
-        let dlon = other.lon_rad - self.lon_rad;
-        let h =
-            (dlat / 2.0).sin().powi(2) + self.cos_lat * other.cos_lat * (dlon / 2.0).sin().powi(2);
+        self.distance_from_terms(other, self.lat_term(other), self.lon_term(other))
+    }
+
+    /// `sin²(Δφ/2)` from this point to `other`: a function of the two
+    /// latitudes alone.
+    pub fn lat_term(&self, other: &HaversinePoint) -> f64 {
+        ((other.lat_rad - self.lat_rad) / 2.0).sin().powi(2)
+    }
+
+    /// `sin²(Δλ/2)` from this point to `other`: a function of the two
+    /// longitudes alone.
+    pub fn lon_term(&self, other: &HaversinePoint) -> f64 {
+        ((other.lon_rad - self.lon_rad) / 2.0).sin().powi(2)
+    }
+
+    /// Great-circle distance to `other`, in kilometers, from this point's
+    /// [`HaversinePoint::lat_term`] and [`HaversinePoint::lon_term`] to it.
+    pub fn distance_from_terms(&self, other: &HaversinePoint, lat_term: f64, lon_term: f64) -> f64 {
+        let h = lat_term + self.cos_lat * other.cos_lat * lon_term;
         // Clamp to guard against floating-point drift just above 1.0.
         let h = h.clamp(0.0, 1.0);
         2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
@@ -203,6 +226,37 @@ mod tests {
                 assert_eq!(great_circle_km(a, b).to_bits(), expected, "{a} -> {b}");
                 let other = HaversinePoint::new(b);
                 assert_eq!(prepared.distance_km(&other).to_bits(), expected);
+            }
+        }
+        // The term-split path, with the terms computed from points that
+        // share only a latitude (the row) or only a longitude (the column)
+        // with the measured point, as a grid search keeps them. Grid
+        // candidates come from `GeoPoint::new`, which wraps longitudes past
+        // ±180° and clamps latitudes at ±90°.
+        let lats = [
+            -95.0, -90.0, -89.9, -45.0, -0.0, 0.0, 33.3, 89.999, 90.0, 120.0,
+        ];
+        let lons = [
+            -540.0, -181.0, -180.0, -179.999, -0.0, 0.0, 77.7, 179.999, 180.0, 181.0, 359.0,
+        ];
+        let mut grid: Vec<GeoPoint> = lats
+            .iter()
+            .flat_map(|&lat| lons.iter().map(move |&lon| GeoPoint::new(lat, lon)))
+            .collect();
+        grid.extend(
+            (0..200).map(|_| {
+                GeoPoint::new(rng.gen_range(-100.0..=100.0), rng.gen_range(-400.0..=400.0))
+            }),
+        );
+        for &a in &grid {
+            let at = HaversinePoint::new(a);
+            let row = HaversinePoint::new(GeoPoint::new(a.lat, 12.5));
+            let column = HaversinePoint::new(GeoPoint::new(-7.25, a.lon));
+            for &b in points.iter().chain(&grid) {
+                let site = HaversinePoint::new(b);
+                let split =
+                    at.distance_from_terms(&site, row.lat_term(&site), column.lon_term(&site));
+                assert_eq!(split.to_bits(), literal(a, b).to_bits(), "{a} -> {b}");
             }
         }
     }

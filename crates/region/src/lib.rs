@@ -94,7 +94,12 @@
 //!   rejects through the cached boxes before any edge walk, and
 //!   intersections restrict the sweep to the operands' common y-window,
 //!   dropping segments that cannot affect it (output-identical by
-//!   construction).
+//!   construction). A ring is convex only if every turn shares a sign and
+//!   its boundary turns exactly once ([`Ring::is_convex`]). For many
+//!   queries against one region, [`Region::prepare_contains`] answers most
+//!   points of a one-ring convex region from two radii about the ring's
+//!   centre and walks the edges only between them
+//!   ([`PreparedContains`], bit-identical to [`Region::contains`]).
 //! * **Fast dilation** — [`Region::dilate`] dispatches to a disk
 //!   specialization (a dilated disk is a disk), a direct convex polygon
 //!   offset, or the contour-fed general path: the region's merged contours
@@ -155,6 +160,7 @@ pub mod bezier;
 mod contour;
 pub mod georegion;
 pub mod montecarlo;
+pub mod prepared;
 pub mod region;
 pub mod ring;
 pub mod scanline;
@@ -163,6 +169,7 @@ mod walk;
 
 pub use banded::{BandedOperand, BandedRegion};
 pub use georegion::GeoRegion;
+pub use prepared::PreparedContains;
 pub use region::Region;
 pub use ring::Ring;
 pub use vec2::Vec2;

@@ -3,6 +3,7 @@
 
 use crate::banded::BandedRegion;
 use crate::bezier::BezierLoop;
+use crate::prepared::PreparedContains;
 use crate::ring::Ring;
 use crate::scanline::{self, boolean_op, boolean_op_many, BoolOp, NaryOp};
 use crate::vec2::Vec2;
@@ -205,6 +206,14 @@ impl Region {
             }
         }
         inside
+    }
+
+    /// [`Region::contains`] prepared once for many queries, answering every
+    /// point exactly as it does. For a region of one convex ring most
+    /// points are answered from two radii about the ring's centre instead
+    /// of an edge walk; see [`PreparedContains`].
+    pub fn prepare_contains(&self) -> PreparedContains<'_> {
+        PreparedContains::new(self)
     }
 
     /// Distance from `p` to the region: 0 inside, otherwise the distance to
@@ -1164,6 +1173,40 @@ mod tests {
         assert!((region.area() - (100.0 - 16.0)).abs() < 1e-5);
         assert!(region.contains(Vec2::new(1.0, 1.0)));
         assert!(!region.contains(Vec2::new(5.0, 5.0)));
+    }
+
+    #[test]
+    fn a_self_intersecting_operand_is_never_absorbed() {
+        // The star's ring contains the square's corners, but its centre is
+        // wound twice and lies outside it: the square is not covered.
+        let square = Region::rectangle(Vec2::new(-30.0, -30.0), Vec2::new(30.0, 30.0));
+        let star = Region::from_ring(crate::ring::tests::pentagram(100.0));
+        let (lo, hi) = square.bbox().unwrap();
+        for corner in [lo, hi, Vec2::new(lo.x, hi.y), Vec2::new(hi.x, lo.y)] {
+            assert!(star.contains(corner));
+        }
+        assert!(!star.contains(Vec2::ZERO));
+        let inside = square.intersect(&star);
+        let outside = square.subtract(&star);
+        assert!(!inside.contains(Vec2::ZERO));
+        assert!(outside.contains(Vec2::ZERO));
+        assert!(inside.area() > 0.0 && inside.area() < square.area() - 1.0);
+        assert!((inside.area() + outside.area() - square.area()).abs() < 1e-6);
+        // Pointwise, away from the star's boundary.
+        let edges = star.rings()[0].edges();
+        for i in 0..=24 {
+            for j in 0..=24 {
+                let p = Vec2::new(-29.5 + 2.45 * i as f64, -29.5 + 2.45 * j as f64);
+                if edges
+                    .iter()
+                    .any(|&(a, b)| p.distance_to_segment(a, b) < 1e-3)
+                {
+                    continue;
+                }
+                assert_eq!(inside.contains(p), star.contains(p), "{p}");
+                assert_eq!(outside.contains(p), !star.contains(p), "{p}");
+            }
+        }
     }
 
     #[test]

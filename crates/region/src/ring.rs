@@ -244,8 +244,9 @@ impl Ring {
             .fold(f64::INFINITY, f64::min)
     }
 
-    /// `true` when every interior angle turns the same way (the ring is
-    /// convex). Cached at construction; degenerate rings report `true`.
+    /// `true` when every interior angle turns the same way and the boundary
+    /// turns exactly once (the ring is convex and simple). Cached at
+    /// construction; rings of fewer than four vertices report `true`.
     pub fn is_convex(&self) -> bool {
         self.convex
     }
@@ -336,19 +337,22 @@ impl Ring {
     }
 }
 
-/// Convexity of a cleaned vertex list: every turn has the same sign.
-/// Degenerate (sub-quadrilateral) lists report `true`.
+/// Convexity of a cleaned vertex list: every turn has the same sign and the
+/// boundary turns exactly once. Sharing a sign is not enough on its own: a
+/// pentagram's turns all share one, but its boundary turns twice and its
+/// centre lies outside it under the even-odd rule. Sub-quadrilateral lists
+/// report `true`.
 fn convexity(points: &[Vec2]) -> bool {
     let n = points.len();
     if n < 4 {
         return true;
     }
     let mut sign = 0.0;
+    let (mut a, mut b) = (points[0], points[1]);
     for i in 0..n {
-        let a = points[i];
-        let b = points[(i + 1) % n];
-        let c = points[(i + 2) % n];
+        let c = points[if i + 2 < n { i + 2 } else { i + 2 - n }];
         let cross = (b - a).cross(c - b);
+        (a, b) = (b, c);
         if cross.abs() < 1e-12 {
             continue;
         }
@@ -358,11 +362,68 @@ fn convexity(points: &[Vec2]) -> bool {
             return false;
         }
     }
-    true
+    // Four turns, none past a half turn, add up to two turns only when the
+    // ring folds onto a segment, which has no interior.
+    n == 4 || turns_once(points, sign)
+}
+
+/// `true` when the edge directions of the closed polygon turn once in
+/// total, counted in quarter turns: each step between consecutive non-zero
+/// edges adds the signed number of quadrant boundaries the direction
+/// crosses. Exact sign tests on the edge vectors decide the quadrants, so
+/// the count is exact: ±4 for a boundary that turns once, ±8 for a
+/// pentagram. A step to the opposite quadrant is resolved by the sign of
+/// the turn, or, below the convexity test's 1e-12 threshold, by `sign`, the
+/// ring's common turn sign.
+fn turns_once(points: &[Vec2], sign: f64) -> bool {
+    let n = points.len();
+    let edge = |i: usize| points[(i + 1) % n] - points[i];
+    let mut prev = match (0..n).rev().map(edge).find(|&e| e != Vec2::ZERO) {
+        Some(e) => e,
+        None => return false,
+    };
+    let mut quarters = 0;
+    for e in (0..n).map(edge).filter(|&e| e != Vec2::ZERO) {
+        quarters += match (quadrant(e) - quadrant(prev)) & 3 {
+            0 => 0,
+            1 => 1,
+            3 => -1,
+            _ => {
+                let cross = prev.cross(e);
+                let turn = if cross.abs() < 1e-12 {
+                    sign
+                } else {
+                    cross.signum()
+                };
+                if turn == 0.0 {
+                    return false;
+                }
+                2 * turn as i32
+            }
+        };
+        prev = e;
+    }
+    quarters.abs() == 4
+}
+
+/// The quadrant `0..4` of a non-zero direction, counter-clockwise from the
+/// positive x axis; each quadrant holds its starting axis.
+fn quadrant(e: Vec2) -> i32 {
+    if e.y > 0.0 || (e.y == 0.0 && e.x > 0.0) {
+        if e.x > 0.0 {
+            0
+        } else {
+            1
+        }
+    } else if e.x < 0.0 {
+        2
+    } else {
+        3
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn unit_square() -> Ring {
@@ -422,6 +483,67 @@ mod tests {
         assert!((l_shape.area() - 3.0).abs() < 1e-12);
         assert!(l_shape.contains(Vec2::new(0.5, 1.5)));
         assert!(!l_shape.contains(Vec2::new(1.5, 1.5)));
+    }
+
+    /// The {5/2} star polygon: every turn is a left turn, but the boundary
+    /// turns twice.
+    pub(crate) fn pentagram(radius: f64) -> Ring {
+        Ring::new(
+            (0..5)
+                .map(|k| {
+                    let a =
+                        std::f64::consts::FRAC_PI_2 + 4.0 * std::f64::consts::PI * k as f64 / 5.0;
+                    Vec2::new(a.cos(), a.sin()) * radius
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn self_intersecting_rings_are_not_convex() {
+        let star = pentagram(100.0);
+        assert_eq!(star.len(), 5);
+        assert!(!star.is_convex());
+        // Even-odd: the centre is wound twice, so it lies outside.
+        assert!(!star.contains(Vec2::ZERO));
+        let mut reversed = star.points().to_vec();
+        reversed.reverse();
+        assert!(!Ring::new(reversed).is_convex());
+        // A convex ring traversed twice turns twice as well.
+        let square = unit_square();
+        let twice: Vec<Vec2> = square
+            .points()
+            .iter()
+            .chain(square.points())
+            .copied()
+            .collect();
+        assert!(!Ring::new(twice).is_convex());
+        // Simple convex rings keep the flag in either orientation, with
+        // axis-parallel edges and with collinear vertices.
+        assert!(square.is_convex());
+        assert!(Ring::new(square.points().iter().rev().copied().collect()).is_convex());
+        assert!(Ring::new(vec![
+            Vec2::new(0.0, 0.0),
+            Vec2::new(0.5, 0.0),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(1.0, 1.0),
+            Vec2::new(0.0, 1.0),
+        ])
+        .is_convex());
+        for n in [4, 5, 7, 64, 221] {
+            assert!(Ring::regular_polygon(Vec2::new(3.0, -2.0), 50.0, n).is_convex());
+        }
+        // A nearly collinear vertex below the sign test's threshold wiggles
+        // the bottom edge across the horizontal, one quarter turn back and
+        // forth, but the boundary still turns once.
+        let wiggle = Ring::new(vec![
+            Vec2::new(-1.0, 0.0),
+            Vec2::new(0.0, 1e-13),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(1.0, 1.0),
+            Vec2::new(-1.0, 1.0),
+        ]);
+        assert!(wiggle.is_convex());
     }
 
     #[test]
