@@ -42,7 +42,7 @@ fn bench_region_ops(c: &mut Criterion) {
         })
     });
     c.bench_function("region/intersect_many_20_constraint_disks", |bench| {
-        bench.iter(|| black_box(Region::intersect_many(twenty.iter())))
+        bench.iter(|| black_box(Region::intersect_many(twenty.iter()).into_region()))
     });
 
     // Secondary-landmark constraint: dilate a small region (the disk

@@ -5,18 +5,14 @@
 //!
 //! * a 16-way constraint-disk intersection — the chained pairwise reference
 //!   (`acc.intersect(d)` fifteen times) against `Region::intersect_many`'s
-//!   single sweep, also comparing the scanline **band-merge counters** and
-//!   asserting the n-ary sweep merges strictly fewer bands than the chain;
-//!   the **banded** entry point (`Region::intersect_many_banded`, no ring
-//!   stitching — the solver's chunk-gate path) is timed alongside, and the
-//!   n-ary sweep's crossing-enumeration work (`crossing_scan_ops`) is
-//!   reported;
+//!   single sweep stitched into rings, also comparing the scanline
+//!   **band-merge counters** and asserting the n-ary sweep merges strictly
+//!   fewer bands than the chain; the same call read as a **banded** area
+//!   (no ring stitching — the solver's chunk-gate path) is timed
+//!   alongside, and the n-ary sweep's crossing-enumeration work
+//!   (`crossing_scan_ops`) is reported;
 //! * the intersection-walk dilation outcomes (`walk_unions` /
 //!   `walk_fallbacks`) over the whole run;
-//! * the **parallel per-band merge**: the same n-ary sweep re-run with a
-//!   forced worker count, asserting the band-merge counter and the result
-//!   area are identical to the sequential sweep (the counter merge-on-join
-//!   guard);
 //! * **contour extraction** from a router-like trapezoid soup — ring-count
 //!   reduction and area parity (1e-9) are asserted, extraction throughput
 //!   and the contoured dilation variant are timed;
@@ -32,7 +28,7 @@
 //!   summary ([`octant_bench::OpsBenchSummary`] format).
 
 use octant_bench::{json_path_from_args, OpsBenchSummary};
-use octant_region::scanline::{boolean_op_many_chunked, stats, NaryOp};
+use octant_region::scanline::stats;
 use octant_region::{BandedRegion, Region, Vec2};
 use std::time::Instant;
 
@@ -110,7 +106,7 @@ fn main() {
     let chained_bands = stats::thread_band_merges() - before;
     let before = stats::thread_band_merges();
     let before_scans = stats::thread_crossing_scan_ops();
-    let nary_result = Region::intersect_many(disks.iter());
+    let nary_result = Region::intersect_many(disks.iter()).into_region();
     let nary_bands = stats::thread_band_merges() - before;
     let crossing_scan_ops = stats::thread_crossing_scan_ops() - before_scans;
 
@@ -127,8 +123,8 @@ fn main() {
     );
 
     let chained_ops = ops_per_sec(iters, || chained(&disks));
-    let nary_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()));
-    let banded_ops = ops_per_sec(iters, || Region::intersect_many_banded(disks.iter()).area());
+    let nary_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()).into_region());
+    let banded_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()).area());
     println!("# intersect16 chained : {chained_ops:>10.1} ops/s  ({chained_bands} band merges)");
     println!("# intersect16 n-ary   : {nary_ops:>10.1} ops/s  ({nary_bands} band merges)");
     println!("# intersect16 banded  : {banded_ops:>10.1} ops/s  (area gate, no stitch)");
@@ -141,31 +137,6 @@ fn main() {
     summary.push("intersect16_chained_band_merges", chained_bands as f64);
     summary.push("intersect16_nary_band_merges", nary_bands as f64);
     summary.push("crossing_scan_ops", crossing_scan_ops as f64);
-
-    // ---- Parallel per-band merge: counter + result parity ------------------
-    // Re-run the identical n-ary sweep through the explicit chunk-count
-    // hook (deterministic on any machine — forcing worker counts via env
-    // vars would be a no-op under a global-pool threading backend): the
-    // chunked per-band path must merge exactly the same number of bands
-    // into the *calling* thread's counter (thread-local accumulation +
-    // merge on join) and stitch bit-identical rings.
-    let ring_sets: Vec<&[octant_region::Ring]> = disks.iter().map(|d| d.rings()).collect();
-    let before_seq = stats::thread_band_merges();
-    let sequential = boolean_op_many_chunked(&ring_sets, NaryOp::Intersection, 1);
-    let sequential_bands = stats::thread_band_merges() - before_seq;
-    let before_par = stats::thread_band_merges();
-    let parallel = boolean_op_many_chunked(&ring_sets, NaryOp::Intersection, 4);
-    let parallel_bands = stats::thread_band_merges() - before_par;
-    assert_eq!(
-        parallel_bands, sequential_bands,
-        "parallel per-band merge must count exactly the sequential sweep's bands"
-    );
-    assert_eq!(
-        parallel, sequential,
-        "parallel per-band merge must stitch bit-identical rings"
-    );
-    println!("# parallel merge      : {parallel_bands} band merges (== sequential), bit-identical");
-    summary.push("parallel_nary_band_merges", parallel_bands as f64);
 
     // ---- Contour extraction from router-like trapezoid soup ----------------
     let soup = router_region();

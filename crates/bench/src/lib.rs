@@ -613,17 +613,14 @@ impl BenchSummary {
 ///   "bench": "region",
 ///   "scenario": "smoke",
 ///   "intersect16_chained_ops_per_sec": 41.2,
-///   "intersect16_nary_ops_per_sec": 213.0,
-///   "intersect16_banded_ops_per_sec": 260.0,   // banded gate, no stitching
+///   "intersect16_nary_ops_per_sec": 213.0,     // intersect_many, stitched
+///   "intersect16_banded_ops_per_sec": 260.0,   // intersect_many area only
 ///   "intersect16_speedup": 5.17,
 ///   "intersect16_chained_band_merges": 2150,
 ///   "intersect16_nary_band_merges": 310,
 ///   "crossing_scan_ops": 27000,                // candidate pairs the n-ary
 ///                                              // sweep's crossing
 ///                                              // enumeration examined
-///   "parallel_nary_band_merges": 310,          // forced-parallel rerun; the
-///                                              // bin asserts == nary merges
-///                                              // and a bit-identical area
 ///   "contour_extract_ops_per_sec": 9500.0,     // BandedRegion -> contours
 ///   "contour_soup_rings": 37,                  // trapezoid rings going in
 ///   "contour_rings": 1,                        // merged contours coming out

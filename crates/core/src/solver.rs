@@ -231,7 +231,7 @@ impl Solver {
                 let batch = &pending[idx..end];
                 let combined_ok = batch.len() > 1 && {
                     let _span = octant_telemetry::span("solver.intersect");
-                    let combined = GeoRegion::intersect_many_banded(
+                    let combined = GeoRegion::intersect_many(
                         projection,
                         std::iter::once(&estimate).chain(batch.iter().map(|(_, c)| &c.region)),
                     );

@@ -11,14 +11,11 @@
 //! decomposition that
 //!
 //! * is produced directly by the sweep (no stitching),
-//! * answers area / bbox / containment queries without rings,
-//! * participates in further n-ary boolean combinations **as bands** — its
-//!   cells' bounding segments feed the next sweep directly
-//!   ([`BandedOperand::Banded`]), skipping ring construction entirely, and
+//! * answers area / bbox / containment queries without rings, and
 //! * converts at the edges: [`BandedRegion::to_region`] stitches the exact
-//!   historical trapezoid rings (bit-identical to what
-//!   [`crate::scanline::boolean_op_many`] returns for the same operands),
-//!   and [`BandedRegion::extract_contours`] stitches **merged outer
+//!   trapezoid rings (bit-identical to what [`crate::scanline::boolean_op`]
+//!   returns for the same operands), and
+//!   [`BandedRegion::extract_contours`] stitches **merged outer
 //!   contours** — a handful of clean closed rings (holes preserved,
 //!   clockwise) instead of trapezoid soup — for consumers like dilation
 //!   whose cost scales with ring and edge count.
@@ -30,32 +27,9 @@
 use crate::contour;
 use crate::region::Region;
 use crate::ring::Ring;
-use crate::scanline::{self, BandedSweep, NaryOp, NaryPlan, Segment};
+use crate::scanline::{self, BandedSweep, BoolOp};
 use crate::vec2::Vec2;
 use crate::AREA_EPSILON_KM2;
-
-/// One operand of a banded n-ary combination.
-#[derive(Debug, Clone, Copy)]
-pub enum BandedOperand<'a> {
-    /// A set of interior-disjoint rings (e.g. [`Region::rings`]), flattened
-    /// into segments the usual way.
-    Rings(&'a [Ring]),
-    /// An already-banded decomposition: its cells' side segments enter the
-    /// sweep directly, with no intermediate polygonization.
-    Banded(&'a BandedRegion),
-}
-
-impl<'a> From<&'a Region> for BandedOperand<'a> {
-    fn from(region: &'a Region) -> Self {
-        BandedOperand::Rings(region.rings())
-    }
-}
-
-impl<'a> From<&'a BandedRegion> for BandedOperand<'a> {
-    fn from(banded: &'a BandedRegion) -> Self {
-        BandedOperand::Banded(banded)
-    }
-}
 
 /// A planar region held in scanline-banded form: horizontal bands in
 /// ascending-y order, each a sorted list of trapezoidal cells bounded by
@@ -106,7 +80,7 @@ impl BandedRegion {
         if segs.is_empty() {
             return BandedRegion::empty();
         }
-        BandedRegion::from_sweep(scanline::sweep_bands(vec![segs], 1, None))
+        BandedRegion::from_sweep(scanline::sweep_bands(vec![segs], BoolOp::Union, None))
     }
 
     /// Wraps a sweep result, computing the cached aggregates.
@@ -124,32 +98,6 @@ impl BandedRegion {
             });
         }
         BandedRegion { sweep, area, bbox }
-    }
-
-    /// Intersection of many operands in one sweep, staying in banded form.
-    pub fn intersect_many(operands: &[BandedOperand<'_>]) -> BandedRegion {
-        BandedRegion::nary(operands, NaryOp::Intersection)
-    }
-
-    /// Union of many operands in one sweep, staying in banded form.
-    pub fn union_many(operands: &[BandedOperand<'_>]) -> BandedRegion {
-        BandedRegion::nary(operands, NaryOp::Union)
-    }
-
-    fn nary(operands: &[BandedOperand<'_>], op: NaryOp) -> BandedRegion {
-        let per_op: Vec<Vec<Segment>> = operands.iter().map(operand_segments).collect();
-        match scanline::plan_nary(per_op, op) {
-            NaryPlan::Empty => BandedRegion::empty(),
-            NaryPlan::Passthrough(i) => match operands[i] {
-                BandedOperand::Rings(rings) => BandedRegion::from_rings(rings),
-                BandedOperand::Banded(b) => b.clone(),
-            },
-            NaryPlan::Sweep {
-                per_op,
-                threshold,
-                window,
-            } => BandedRegion::from_sweep(scanline::sweep_bands(per_op, threshold, window)),
-        }
     }
 
     /// Total area of the decomposition, km² (cached at construction).
@@ -197,11 +145,10 @@ impl BandedRegion {
         })
     }
 
-    /// Stitches the bands into the historical interior-disjoint trapezoid
-    /// rings — bit-identical to what the one-piece sweep
-    /// ([`crate::scanline::boolean_op_many`]) returns for the same
-    /// operands, so callers can leave and re-enter banded form without
-    /// perturbing downstream geometry.
+    /// Stitches the bands into interior-disjoint trapezoid rings —
+    /// bit-identical to what [`crate::scanline::boolean_op`] returns for
+    /// the same operands, so callers can leave and re-enter banded form
+    /// without perturbing downstream geometry.
     pub fn to_region(&self) -> Region {
         Region::from_disjoint_rings(scanline::stitch_sweep(&self.sweep))
     }
@@ -249,34 +196,6 @@ impl BandedRegion {
             })
             .collect()
     }
-}
-
-/// Flattens one operand into sweep segments.
-fn operand_segments(op: &BandedOperand<'_>) -> Vec<Segment> {
-    match op {
-        BandedOperand::Rings(rings) => scanline::collect_segments(rings),
-        BandedOperand::Banded(b) => side_segments(&b.sweep),
-    }
-}
-
-/// The side segments of every cell: the banded equivalent of
-/// `collect_segments` over trapezoid rings, except horizontal edges (which
-/// can never span a band midline and whose endpoint ys the side segments
-/// already contribute) are skipped outright.
-fn side_segments(sweep: &BandedSweep) -> Vec<Segment> {
-    let mut out = Vec::new();
-    for (band, itv) in cells_of(sweep) {
-        let cell = materialize(sweep, band, itv);
-        out.push(Segment {
-            a: cell.bl,
-            b: cell.tl,
-        });
-        out.push(Segment {
-            a: cell.br,
-            b: cell.tr,
-        });
-    }
-    out
 }
 
 /// Iterates `(band index, interval index)` over all cells.
@@ -342,45 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn banded_nary_matches_ring_nary() {
-        let a = disk(0.0, 0.0, 250.0);
-        let b = disk(120.0, 30.0, 260.0);
-        let c = disk(-60.0, 90.0, 280.0);
-        let via_rings = Region::intersect_many([&a, &b, &c]);
-        let banded = BandedRegion::intersect_many(&[(&a).into(), (&b).into(), (&c).into()]);
-        assert!(
-            (via_rings.area() - banded.area()).abs() <= 1e-9 * via_rings.area().max(1.0),
-            "ring {} vs banded {}",
-            via_rings.area(),
-            banded.area()
-        );
-        // A banded operand participates without polygonization.
-        let rebanded = BandedRegion::intersect_many(&[(&banded).into(), (&a).into()]);
-        assert!((rebanded.area() - banded.area()).abs() <= 1e-6 * banded.area().max(1.0));
-    }
-
-    #[test]
-    fn banded_union_matches_ring_union() {
-        let a = disk(0.0, 0.0, 200.0);
-        let b = disk(150.0, 40.0, 180.0);
-        let c = disk(900.0, 0.0, 90.0); // disjoint component
-        let via_rings = Region::union_many([&a, &b, &c]);
-        let banded = BandedRegion::union_many(&[(&a).into(), (&b).into(), (&c).into()]);
-        assert!(
-            (via_rings.area() - banded.area()).abs() <= 1e-6 * via_rings.area(),
-            "ring {} vs banded {}",
-            via_rings.area(),
-            banded.area()
-        );
-        assert!(banded.contains(Vec2::new(900.0, 0.0)));
-        assert!(banded.contains(Vec2::new(75.0, 20.0)));
-        assert!(!banded.contains(Vec2::new(500.0, 0.0)));
-        // A banded operand unions without polygonization.
-        let again = BandedRegion::union_many(&[(&banded).into(), (&a).into()]);
-        assert!((again.area() - banded.area()).abs() <= 1e-6 * banded.area());
-    }
-
-    #[test]
     fn empty_and_passthrough_cases() {
         let empty = BandedRegion::empty();
         assert!(empty.is_empty());
@@ -390,12 +270,10 @@ mod tests {
         assert!(empty.extract_contours().is_empty());
 
         let a = disk(0.0, 0.0, 100.0);
-        let only = BandedRegion::intersect_many(&[(&a).into()]);
+        let only = Region::intersect_many([&a]);
         assert!((only.area() - a.area()).abs() <= 1e-9 * a.area());
-        let none = BandedRegion::intersect_many(&[]);
-        assert!(none.is_empty());
-        let disjoint =
-            BandedRegion::intersect_many(&[(&a).into(), (&disk(500.0, 0.0, 100.0)).into()]);
-        assert!(disjoint.is_empty());
+        assert!(Region::intersect_many([]).area() == 0.0);
+        let disjoint = Region::intersect_many([&a, &disk(500.0, 0.0, 100.0)]);
+        assert!(disjoint.area() == 0.0);
     }
 }

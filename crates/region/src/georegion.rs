@@ -174,20 +174,6 @@ impl GeoRegion {
         }
     }
 
-    /// Intersection of many regions in one scanline sweep (see
-    /// [`Region::intersect_many`]). Operands expressed in other projections
-    /// are reprojected onto `projection` first; operands already anchored
-    /// there (the common case — a solve shares one projection) are borrowed
-    /// rather than cloned.
-    pub fn intersect_many<'a, I>(projection: AzimuthalEquidistant, operands: I) -> GeoRegion
-    where
-        I: IntoIterator<Item = &'a GeoRegion>,
-    {
-        Self::nary(projection, operands, |regions| {
-            Region::intersect_many(regions)
-        })
-    }
-
     /// Union of many regions in one scanline sweep (see
     /// [`Region::union_many`]). Operands expressed in other projections are
     /// reprojected onto `projection` first; same-projection operands are
@@ -196,29 +182,30 @@ impl GeoRegion {
     where
         I: IntoIterator<Item = &'a GeoRegion>,
     {
-        Self::nary(projection, operands, |regions| Region::union_many(regions))
+        let planar = Self::planar_operands(projection, operands);
+        GeoRegion {
+            projection,
+            region: Region::union_many(planar.iter().map(|r| r.as_ref())),
+        }
     }
 
-    /// [`GeoRegion::intersect_many`] that stops at the sweep's banded
-    /// output (see [`Region::intersect_many_banded`]): the area is
+    /// Intersection of many regions in one scanline sweep, kept in the
+    /// sweep's banded form (see [`Region::intersect_many`]): the area is
     /// available immediately, and rings are only stitched when the caller
     /// keeps the result. This is what lets the solver hold its running
     /// estimate in banded form across a constraint chunk and extract rings
-    /// only at the simplify boundary.
-    pub fn intersect_many_banded<'a, I>(
-        projection: AzimuthalEquidistant,
-        operands: I,
-    ) -> BandedGeoRegion
+    /// only at the simplify boundary. Operands expressed in other
+    /// projections are reprojected onto `projection` first; operands
+    /// already anchored there (the common case — a solve shares one
+    /// projection) are borrowed rather than cloned.
+    pub fn intersect_many<'a, I>(projection: AzimuthalEquidistant, operands: I) -> BandedGeoRegion
     where
         I: IntoIterator<Item = &'a GeoRegion>,
     {
-        let planar: Vec<Cow<'_, Region>> = operands
-            .into_iter()
-            .map(|r| r.planar_in(projection))
-            .collect();
+        let planar = Self::planar_operands(projection, operands);
         BandedGeoRegion {
             projection,
-            inner: Region::intersect_many_banded(planar.iter().map(|r| r.as_ref())),
+            inner: Region::intersect_many(planar.iter().map(|r| r.as_ref())),
         }
     }
 
@@ -238,25 +225,16 @@ impl GeoRegion {
         }
     }
 
-    /// Shared preamble of the n-ary wrappers: reproject only the operands
-    /// anchored elsewhere (borrowing same-projection operands) and hand the
-    /// planar operand list to the requested n-ary combination.
-    fn nary<'a, I>(
-        projection: AzimuthalEquidistant,
-        operands: I,
-        combine: impl FnOnce(Vec<&Region>) -> Region,
-    ) -> GeoRegion
+    /// The operands' planar forms in `projection` for the n-ary
+    /// wrappers: same-projection operands borrowed, the rest reprojected.
+    fn planar_operands<'a, I>(projection: AzimuthalEquidistant, operands: I) -> Vec<Cow<'a, Region>>
     where
         I: IntoIterator<Item = &'a GeoRegion>,
     {
-        let planar: Vec<Cow<'_, Region>> = operands
+        operands
             .into_iter()
             .map(|r| r.planar_in(projection))
-            .collect();
-        GeoRegion {
-            projection,
-            region: combine(planar.iter().map(|r| r.as_ref()).collect()),
-        }
+            .collect()
     }
 
     /// This region's planar form in `target`'s projection: borrowed when
@@ -362,10 +340,9 @@ impl GeoRegion {
 }
 
 /// A banded intersection anchored to the globe: the projection plus the
-/// (possibly still banded) planar result of
-/// [`GeoRegion::intersect_many_banded`]. Area is readable without ring
-/// construction; [`BandedGeoRegion::into_geo_region`] stitches the exact
-/// rings the ring-form entry point would have produced.
+/// (possibly still banded) planar result of [`GeoRegion::intersect_many`].
+/// Area is readable without ring construction;
+/// [`BandedGeoRegion::into_geo_region`] stitches the rings.
 #[derive(Debug, Clone)]
 pub struct BandedGeoRegion {
     projection: AzimuthalEquidistant,

@@ -19,9 +19,8 @@
 //! * [`ring::Ring`] — flattened closed polygons with area / containment /
 //!   centroid queries (bounding box and convexity cached at construction),
 //! * [`scanline`] — a robust band-sweep boolean-operation engine producing
-//!   interior-disjoint trapezoid decompositions, with binary
-//!   ([`scanline::boolean_op`]) and n-ary single-sweep
-//!   ([`scanline::boolean_op_many`]) entry points,
+//!   interior-disjoint trapezoid decompositions, with one entry point
+//!   ([`scanline::boolean_op`]) that sweeps any number of operands once,
 //! * [`Region`] — the public region type with union / intersection /
 //!   difference / dilation / erosion, area, centroid, containment and
 //!   sampling,
@@ -43,14 +42,15 @@
 //!
 //! ## Performance machinery
 //!
-//! The solver-facing hot paths are engineered around eight mechanisms
+//! The solver-facing hot paths are engineered around seven mechanisms
 //! (pinned by `tests/region_algebra.rs` / `tests/region_fastpath_parity.rs`
 //! and measured by `octant-bench`'s `region` binary):
 //!
 //! * **N-ary single sweeps** — [`Region::intersect_many`] /
 //!   [`Region::union_many`] merge all operands' per-band interval lists in
 //!   one scanline pass instead of re-decomposing an accumulator through
-//!   N−1 chained pairwise sweeps. Every sweep, binary or n-ary, finds its
+//!   N−1 chained pairwise sweeps. The two-operand ops are the same sweep
+//!   over two operands. Every sweep finds its
 //!   crossing events with one forward rescan over `min_y`-ranked bounding
 //!   boxes. In trapezoid soups nearly every crossing it meets is a
 //!   touching corner whose y is bit-equal to an endpoint height, which is
@@ -59,14 +59,12 @@
 //!   pairs it examines.
 //! * **The banded core** — the sweep's native product is a
 //!   [`banded::BandedRegion`]: a y-banded interval decomposition that
-//!   answers area/bbox/containment without ring construction, participates
-//!   in further n-ary combinations as bands
-//!   ([`banded::BandedOperand::Banded`]), and converts at the edges —
-//!   [`banded::BandedRegion::to_region`] stitches the exact historical
-//!   trapezoid rings (bit-identical), and
-//!   [`Region::intersect_many_banded`] lets callers gate on area (the
-//!   solver's §2.4 size threshold) before paying for any stitching. Inside
-//!   the n-ary band loop the active list keeps its `(x, entry-order)`
+//!   answers area/bbox/containment without ring construction and converts
+//!   at the edges — [`banded::BandedRegion::to_region`] stitches the
+//!   trapezoid rings (bit-identical), and [`Region::intersect_many`]
+//!   returns the banded result so callers gate on area (the solver's §2.4
+//!   size threshold) before paying for any stitching. Inside
+//!   the band loop the active list keeps its `(x, entry-order)`
 //!   sorted order **incrementally** across bands (adjacent midlines only
 //!   swap segments that actually cross between them, so an adaptive
 //!   insertion pass beats a from-scratch per-operand sort), which is
@@ -80,13 +78,6 @@
 //!   budgeted simplification — touch boundary edges only. Extraction that
 //!   cannot stitch cleanly falls back to the trapezoid rings, never to
 //!   wrong geometry.
-//! * **Parallel per-band merge** — bands are mutually independent, so
-//!   large sweeps inside [`scanline::boolean_op_many`] compute contiguous
-//!   band chunks on rayon workers and concatenate in order;
-//!   output is bit-identical to the sequential sweep for every worker
-//!   count, and per-chunk band counts are merged into the calling thread's
-//!   [`scanline::stats`] counter on join so perf guards measure true
-//!   deltas.
 //! * **Bbox pruning** — ring- and region-level bounding boxes are cached at
 //!   construction; bbox-disjoint operands skip the sweep entirely (empty
 //!   intersection, concatenated union), a convex operand covering the other
@@ -167,7 +158,7 @@ pub mod scanline;
 pub mod vec2;
 mod walk;
 
-pub use banded::{BandedOperand, BandedRegion};
+pub use banded::BandedRegion;
 pub use georegion::GeoRegion;
 pub use prepared::PreparedContains;
 pub use region::Region;

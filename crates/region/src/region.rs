@@ -5,7 +5,7 @@ use crate::banded::BandedRegion;
 use crate::bezier::BezierLoop;
 use crate::prepared::PreparedContains;
 use crate::ring::Ring;
-use crate::scanline::{self, boolean_op, boolean_op_many, BoolOp, NaryOp};
+use crate::scanline::{self, boolean_op, BoolOp};
 use crate::vec2::Vec2;
 use crate::walk;
 use crate::{AREA_EPSILON_KM2, DEFAULT_FLATTEN_TOLERANCE_KM};
@@ -268,7 +268,7 @@ impl Region {
                 return other.clone();
             }
         }
-        Region::from_disjoint_rings(boolean_op(&self.rings, &other.rings, BoolOp::Union))
+        Region::from_disjoint_rings(boolean_op(&[&self.rings, &other.rings], BoolOp::Union))
     }
 
     /// Intersection with another region.
@@ -290,7 +290,10 @@ impl Region {
                 return other.clone();
             }
         }
-        Region::from_disjoint_rings(boolean_op(&self.rings, &other.rings, BoolOp::Intersection))
+        Region::from_disjoint_rings(boolean_op(
+            &[&self.rings, &other.rings],
+            BoolOp::Intersection,
+        ))
     }
 
     /// Set difference (`self` minus `other`).
@@ -309,7 +312,7 @@ impl Region {
                 return Region::empty();
             }
         }
-        Region::from_disjoint_rings(boolean_op(&self.rings, &other.rings, BoolOp::Difference))
+        Region::from_disjoint_rings(boolean_op(&[&self.rings, &other.rings], BoolOp::Difference))
     }
 
     /// Symmetric difference.
@@ -319,7 +322,7 @@ impl Region {
             rings.extend_from_slice(&other.rings);
             return Region::from_disjoint_rings(rings);
         }
-        Region::from_disjoint_rings(boolean_op(&self.rings, &other.rings, BoolOp::Xor))
+        Region::from_disjoint_rings(boolean_op(&[&self.rings, &other.rings], BoolOp::Xor))
     }
 
     /// Intersection of many regions in **one scanline sweep** (instead of
@@ -332,54 +335,25 @@ impl Region {
     /// world disk around a tight constraint set) is dropped from the sweep
     /// because it cannot remove anything. Returns the empty region for an
     /// empty operand list.
-    pub fn intersect_many<'a, I>(operands: I) -> Region
+    ///
+    /// The result stays in the sweep's **banded** form: the caller reads
+    /// the area (the §2.4 size-threshold gate) straight off the bands and
+    /// only pays for ring construction when it keeps the result
+    /// ([`BandedIntersection::into_region`]).
+    pub fn intersect_many<'a, I>(operands: I) -> BandedIntersection
     where
         I: IntoIterator<Item = &'a Region>,
     {
-        // Goes straight from the sweep to rings: unlike the banded entry
-        // point, no per-cell area/bbox aggregates are computed for a
-        // result that is polygonized immediately.
-        match Region::intersect_many_pruned(operands.into_iter().collect()) {
-            PrunedIntersection::Ready(region) => region,
-            PrunedIntersection::Sweep(sweep) => {
-                Region::from_disjoint_rings(scanline::stitch_sweep(&sweep))
-            }
-        }
-    }
-
-    /// [`Region::intersect_many`] that stops at the sweep's **banded**
-    /// output instead of stitching rings: the caller reads the area (the
-    /// §2.4 size-threshold gate) straight off the bands and only pays for
-    /// ring construction when it actually keeps the result
-    /// ([`BandedIntersection::into_region`] stitches the identical rings
-    /// `intersect_many` would have returned). The bbox fast paths resolve
-    /// to ready-made regions exactly as before.
-    pub fn intersect_many_banded<'a, I>(operands: I) -> BandedIntersection
-    where
-        I: IntoIterator<Item = &'a Region>,
-    {
-        match Region::intersect_many_pruned(operands.into_iter().collect()) {
-            PrunedIntersection::Ready(region) => BandedIntersection::Ready(region),
-            PrunedIntersection::Sweep(sweep) => {
-                BandedIntersection::Banded(BandedRegion::from_sweep(sweep))
-            }
-        }
-    }
-
-    /// The shared front half of the n-ary intersection entry points: bbox
-    /// pruning, absorption and operand triage, ending either in a
-    /// fast-path region or in the raw band sweep (aggregate-free — each
-    /// entry point decides what to derive from it).
-    fn intersect_many_pruned(ops: Vec<&Region>) -> PrunedIntersection {
+        let ops: Vec<&Region> = operands.into_iter().collect();
         if ops.is_empty() {
-            return PrunedIntersection::Ready(Region::empty());
+            return BandedIntersection::Ready(Region::empty());
         }
         // Common bounding window of all operands.
         let mut common: Option<(Vec2, Vec2)> = None;
         for r in &ops {
             let (lo, hi) = match r.bbox {
                 Some(b) => b,
-                None => return PrunedIntersection::Ready(Region::empty()),
+                None => return BandedIntersection::Ready(Region::empty()),
             };
             common = Some(match common {
                 None => (lo, hi),
@@ -388,7 +362,7 @@ impl Region {
         }
         let (clo, chi) = common.expect("non-empty operand list");
         if clo.x >= chi.x || clo.y >= chi.y {
-            return PrunedIntersection::Ready(Region::empty());
+            return BandedIntersection::Ready(Region::empty());
         }
         // Absorption: an operand that provably covers the common window is
         // replaced (collectively, with all other such operands) by the
@@ -403,10 +377,10 @@ impl Region {
         if kept.is_empty() {
             // Every operand covers the common window, so the intersection
             // *is* the window.
-            return PrunedIntersection::Ready(Region::rectangle(clo, chi));
+            return BandedIntersection::Ready(Region::rectangle(clo, chi));
         }
         if kept.len() == ops.len() && kept.len() == 1 {
-            return PrunedIntersection::Ready(kept[0].clone());
+            return BandedIntersection::Ready(kept[0].clone());
         }
         let window_rect;
         let mut ring_sets: Vec<&[Ring]> = kept.iter().map(|r| r.rings.as_slice()).collect();
@@ -418,16 +392,18 @@ impl Region {
             .iter()
             .map(|rings| scanline::collect_segments(rings))
             .collect();
-        match scanline::plan_nary(per_op, NaryOp::Intersection) {
-            scanline::NaryPlan::Empty => PrunedIntersection::Ready(Region::empty()),
+        match scanline::plan_nary(per_op, BoolOp::Intersection) {
+            scanline::NaryPlan::Empty => BandedIntersection::Ready(Region::empty()),
             scanline::NaryPlan::Passthrough(i) => {
-                PrunedIntersection::Ready(Region::from_disjoint_rings(ring_sets[i].to_vec()))
+                BandedIntersection::Ready(Region::from_disjoint_rings(ring_sets[i].to_vec()))
             }
-            scanline::NaryPlan::Sweep {
-                per_op,
-                threshold,
-                window,
-            } => PrunedIntersection::Sweep(scanline::sweep_bands(per_op, threshold, window)),
+            scanline::NaryPlan::Sweep { per_op, window } => {
+                BandedIntersection::Banded(BandedRegion::from_sweep(scanline::sweep_bands(
+                    per_op,
+                    BoolOp::Intersection,
+                    window,
+                )))
+            }
         }
     }
 
@@ -487,7 +463,7 @@ impl Region {
             } else {
                 let ring_sets: Vec<&[Ring]> =
                     members.iter().map(|&i| ops[i].rings.as_slice()).collect();
-                rings.extend(boolean_op_many(&ring_sets, NaryOp::Union));
+                rings.extend(boolean_op(&ring_sets, BoolOp::Union));
             }
         }
         Region::from_disjoint_rings(rings)
@@ -779,16 +755,9 @@ impl Region {
     }
 }
 
-/// Internal outcome of the shared n-ary intersection pruning: a fast-path
-/// region, or the raw band sweep with no aggregates derived yet.
-enum PrunedIntersection {
-    Ready(Region),
-    Sweep(crate::scanline::BandedSweep),
-}
-
-/// The outcome of [`Region::intersect_many_banded`]: either a region the
-/// bbox fast paths resolved without any sweep, or the banded decomposition
-/// the sweep produced. Either way the area is available without stitching
+/// The outcome of [`Region::intersect_many`]: either a region the bbox
+/// fast paths resolved without any sweep, or the banded decomposition the
+/// sweep produced. Either way the area is available without stitching
 /// rings, so a caller gating on area (the solver's §2.4 size threshold)
 /// only polygonizes results it keeps.
 #[derive(Debug, Clone)]
@@ -808,8 +777,8 @@ impl BandedIntersection {
         }
     }
 
-    /// Converts into a ring-form region. For the banded case this stitches
-    /// exactly the rings [`Region::intersect_many`] would have returned.
+    /// Converts into a ring-form region, stitching the bands' trapezoids
+    /// when the sweep ran.
     pub fn into_region(self) -> Region {
         match self {
             BandedIntersection::Ready(r) => r,

@@ -12,15 +12,16 @@
 //! verbosity (results are emitted as interior-disjoint trapezoids, later
 //! merged) for unconditional robustness:
 //!
-//! 1. Collect every segment of both operands.
+//! 1. Collect every segment of every operand.
 //! 2. Compute the set of *event* y-coordinates: all segment endpoints plus
 //!    all pairwise segment intersections. Between two consecutive events no
 //!    segment starts, ends, or crosses another, so within such a *band* the
 //!    plane decomposes into vertical slabs bounded by straight segments.
 //! 3. For the midline of each band, compute the x-intervals covered by each
 //!    operand (even-odd rule), combine them with the requested boolean
-//!    operation, and emit one trapezoid per resulting interval, bounded by
-//!    the source segments evaluated at the band's bottom and top.
+//!    operation ([`BoolOp`], over any number of operands), and emit one
+//!    trapezoid per resulting interval, bounded by the source segments
+//!    evaluated at the band's bottom and top.
 //! 4. Merge trapezoids that share the same bounding segments across
 //!    consecutive bands, so simple results stay simple.
 //!
@@ -89,11 +90,7 @@ pub mod stats {
     /// Folds `n` merged bands into the **calling** thread's counter and the
     /// process-wide `region.band_merges` registry counter. Sweeps call this
     /// once per operation (the band loop counts locally), so the registry
-    /// bump is one relaxed add per sweep, not per band. The parallel
-    /// per-band path accumulates a plain count inside each worker chunk
-    /// (worker threads are ephemeral, so their own thread-local counters
-    /// would be lost) and merges the totals here on join, keeping the
-    /// caller-observed delta identical to the sequential sweep's.
+    /// bump is one relaxed add per sweep, not per band.
     pub(crate) fn add_bands(n: u64) {
         if n == 0 {
             return;
@@ -152,28 +149,18 @@ pub mod stats {
     }
 }
 
-/// Boolean operations supported by [`boolean_op`].
+/// Boolean operations supported by [`boolean_op`], over any number of
+/// operands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoolOp {
-    /// Points in either operand.
+    /// Points in at least one operand.
     Union,
-    /// Points in both operands.
+    /// Points in every operand.
     Intersection,
-    /// Points in the first operand but not the second.
+    /// Points in the first operand and in none of the others.
     Difference,
-    /// Points in exactly one operand.
+    /// Points in an odd number of operands.
     Xor,
-}
-
-impl BoolOp {
-    fn keep(self, in_a: bool, in_b: bool) -> bool {
-        match self {
-            BoolOp::Union => in_a || in_b,
-            BoolOp::Intersection => in_a && in_b,
-            BoolOp::Difference => in_a && !in_b,
-            BoolOp::Xor => in_a != in_b,
-        }
-    }
 }
 
 /// Tolerance for merging event y-coordinates and interval endpoints, in km.
@@ -188,15 +175,15 @@ const SLIVER_AREA: f64 = 1e-9;
 /// bounding segments without re-deriving them from rings.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Segment {
-    pub(crate) a: Vec2,
-    pub(crate) b: Vec2,
+    a: Vec2,
+    b: Vec2,
 }
 
 impl Segment {
-    pub(crate) fn min_y(&self) -> f64 {
+    fn min_y(&self) -> f64 {
         self.a.y.min(self.b.y)
     }
-    pub(crate) fn max_y(&self) -> f64 {
+    fn max_y(&self) -> f64 {
         self.a.y.max(self.b.y)
     }
     /// The x coordinate of the segment at height `y`; the caller guarantees
@@ -265,7 +252,7 @@ fn crossing_y(s1: &Segment, s2: &Segment) -> Option<f64> {
 
 /// The `[min_y, max_y]` range spanned by a segment set. Callers guarantee the
 /// set is non-empty.
-pub(crate) fn y_range(segs: &[Segment]) -> (f64, f64) {
+fn y_range(segs: &[Segment]) -> (f64, f64) {
     let mut lo = f64::INFINITY;
     let mut hi = f64::NEG_INFINITY;
     for s in segs {
@@ -424,92 +411,6 @@ fn pair_intervals_into(xs: &[(f64, usize)], out: &mut Vec<Interval>) {
     }
 }
 
-/// An interval endpoint event of the binary per-band combine.
-#[derive(Clone, Copy)]
-struct BinaryEvent {
-    x: f64,
-    is_a: bool,
-    is_start: bool,
-    seg: usize,
-}
-
-/// Combines two disjoint, sorted interval lists with a boolean operation,
-/// writing into `out` (cleared first); `events` is a reusable scratch
-/// buffer so the band loop performs no per-band allocation.
-fn interval_op(
-    ia: &[Interval],
-    ib: &[Interval],
-    op: BoolOp,
-    events: &mut Vec<BinaryEvent>,
-    out: &mut Vec<Interval>,
-) {
-    type Event = BinaryEvent;
-    events.clear();
-    out.clear();
-    events.reserve(2 * (ia.len() + ib.len()));
-    for itv in ia {
-        events.push(Event {
-            x: itv.xl,
-            is_a: true,
-            is_start: true,
-            seg: itv.seg_l,
-        });
-        events.push(Event {
-            x: itv.xr,
-            is_a: true,
-            is_start: false,
-            seg: itv.seg_r,
-        });
-    }
-    for itv in ib {
-        events.push(Event {
-            x: itv.xl,
-            is_a: false,
-            is_start: true,
-            seg: itv.seg_l,
-        });
-        events.push(Event {
-            x: itv.xr,
-            is_a: false,
-            is_start: false,
-            seg: itv.seg_r,
-        });
-    }
-    events.sort_by(|a, b| {
-        a.x.partial_cmp(&b.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.is_start.cmp(&a.is_start))
-    });
-
-    let mut in_a = false;
-    let mut in_b = false;
-    let mut inside = false;
-    let mut open: Option<(f64, usize)> = None;
-    for ev in events.iter() {
-        if ev.is_a {
-            in_a = ev.is_start;
-        } else {
-            in_b = ev.is_start;
-        }
-        let now_inside = op.keep(in_a, in_b);
-        if now_inside && !inside {
-            open = Some((ev.x, ev.seg));
-        } else if !now_inside && inside {
-            if let Some((xl, seg_l)) = open.take() {
-                if ev.x - xl > EPS {
-                    out.push(Interval {
-                        xl,
-                        xr: ev.x,
-                        seg_l,
-                        seg_r: ev.seg,
-                    });
-                }
-            }
-        }
-        inside = now_inside;
-    }
-}
-
 /// A trapezoid being grown across consecutive bands.
 #[derive(Debug, Clone, Copy)]
 struct OpenTrapezoid {
@@ -532,152 +433,37 @@ fn emit(trap: &OpenTrapezoid, segs: &[Segment], out: &mut Vec<Ring>) {
     }
 }
 
-/// Computes a boolean operation between two polygon sets, each interpreted
-/// with the even-odd rule, and returns the result as a set of
-/// interior-disjoint rings (trapezoids merged vertically where possible).
-pub fn boolean_op(a: &[Ring], b: &[Ring], op: BoolOp) -> Vec<Ring> {
-    let mut seg_a = collect_segments(a);
-    let mut seg_b = collect_segments(b);
-    if seg_a.is_empty() && seg_b.is_empty() {
-        return Vec::new();
+/// Computes a boolean combination of polygon sets, each interpreted with
+/// the even-odd rule, in **one scanline sweep**, and returns the result as
+/// a set of interior-disjoint rings (trapezoids merged vertically where
+/// possible). This is the engine's one sweep entry point; the two-operand
+/// ops of [`crate::Region`] call it with two operands.
+///
+/// Folding a two-operand op over N operands would re-decompose, re-cross
+/// and re-merge the accumulated intermediate result N−1 times; one sweep
+/// merges all N operands' interval lists band by band instead.
+/// [`BoolOp::Difference`] is the first operand minus all the others, and
+/// [`BoolOp::Xor`] keeps the points an odd number of operands cover.
+/// Intersections are swept over the operands' common y-window and
+/// differences over the first operand's y-range, with segments wholly
+/// outside the window dropped up front: no point outside it can be in the
+/// result.
+pub fn boolean_op(operands: &[&[Ring]], op: BoolOp) -> Vec<Ring> {
+    let per_op = operands
+        .iter()
+        .map(|rings| collect_segments(rings))
+        .collect();
+    match plan_nary(per_op, op) {
+        NaryPlan::Empty => Vec::new(),
+        NaryPlan::Passthrough(i) => operands[i].to_vec(),
+        NaryPlan::Sweep { per_op, window } => stitch_sweep(&sweep_bands(per_op, op, window)),
     }
-    // Fast paths for empty operands.
-    if seg_a.is_empty() {
-        return match op {
-            BoolOp::Union | BoolOp::Xor => b.to_vec(),
-            BoolOp::Intersection | BoolOp::Difference => Vec::new(),
-        };
-    }
-    if seg_b.is_empty() {
-        return match op {
-            BoolOp::Union | BoolOp::Xor | BoolOp::Difference => a.to_vec(),
-            BoolOp::Intersection => Vec::new(),
-        };
-    }
-
-    // Y-window pruning. Intersection output lies inside both operands'
-    // y-ranges and difference output inside A's, so segments wholly outside
-    // that window can never span an in-window band midline: dropping them
-    // (and the out-of-window event ys) leaves the emitted trapezoids
-    // bit-identical while skipping the bands that could only produce empty
-    // interval sets.
-    let y_window = match op {
-        BoolOp::Intersection => {
-            let (alo, ahi) = y_range(&seg_a);
-            let (blo, bhi) = y_range(&seg_b);
-            Some((alo.max(blo), ahi.min(bhi)))
-        }
-        BoolOp::Difference => Some(y_range(&seg_a)),
-        BoolOp::Union | BoolOp::Xor => None,
-    };
-    if let Some((lo, hi)) = y_window {
-        if hi - lo < MIN_BAND {
-            return match op {
-                BoolOp::Intersection => Vec::new(),
-                // An empty window for Difference means A itself is degenerate.
-                _ => Vec::new(),
-            };
-        }
-        seg_a.retain(|s| s.max_y() > lo && s.min_y() < hi);
-        seg_b.retain(|s| s.max_y() > lo && s.min_y() < hi);
-        if seg_a.is_empty() {
-            return Vec::new();
-        }
-        if seg_b.is_empty() {
-            return match op {
-                BoolOp::Difference => a.to_vec(),
-                _ => Vec::new(),
-            };
-        }
-    }
-
-    // All segments in one arena; A occupies [0, seg_a.len()), B the rest.
-    let mut segs = seg_a;
-    let b_offset = segs.len();
-    segs.extend_from_slice(&seg_b);
-
-    let ys = event_ys(&segs, y_window);
-
-    // Active-set maintenance, exactly as in the n-ary sweep: segments enter
-    // in `min_y` order as the sweep rises and leave once the midline passes
-    // their `max_y`, so each band only touches the segments that can span
-    // it. The per-band crossing lists are sorted by `(x, segment index)` —
-    // identical to the historical "scan the whole arena in index order,
-    // stable-sort by x" enumeration, so the emitted trapezoids (including
-    // equal-x ties on shared seam edges) are bit-for-bit unchanged.
-    let mut by_min: Vec<usize> = (0..segs.len()).collect();
-    by_min.sort_by(|&i, &j| {
-        segs[i]
-            .min_y()
-            .partial_cmp(&segs[j].min_y())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut next_in = 0usize;
-    let mut active: Vec<usize> = Vec::new();
-
-    let mut out: Vec<Ring> = Vec::new();
-    let mut open: Vec<OpenTrapezoid> = Vec::new();
-    let mut open_scratch: Vec<OpenTrapezoid> = Vec::new();
-    let mut xa: Vec<(f64, usize)> = Vec::new();
-    let mut xb: Vec<(f64, usize)> = Vec::new();
-    let mut ia: Vec<Interval> = Vec::new();
-    let mut ib: Vec<Interval> = Vec::new();
-    let mut res: Vec<Interval> = Vec::new();
-    let mut events: Vec<BinaryEvent> = Vec::new();
-
-    let mut bands_merged = 0u64;
-    for w in ys.windows(2) {
-        let (y0, y1) = (w[0], w[1]);
-        if y1 - y0 < MIN_BAND {
-            continue;
-        }
-        bands_merged += 1;
-        let ym = 0.5 * (y0 + y1);
-
-        while next_in < by_min.len() && segs[by_min[next_in]].min_y() < ym {
-            active.push(by_min[next_in]);
-            next_in += 1;
-        }
-        active.retain(|&i| segs[i].max_y() > ym);
-
-        xa.clear();
-        xb.clear();
-        for &i in &active {
-            // Entry and exit conditions above guarantee the segment spans ym.
-            let x = segs[i].x_at(ym);
-            if i < b_offset {
-                xa.push((x, i));
-            } else {
-                xb.push((x, i));
-            }
-        }
-        let by_x_then_index = |a: &(f64, usize), b: &(f64, usize)| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-        };
-        xa.sort_by(by_x_then_index);
-        xb.sort_by(by_x_then_index);
-        pair_intervals_into(&xa, &mut ia);
-        pair_intervals_into(&xb, &mut ib);
-        interval_op(&ia, &ib, op, &mut events, &mut res);
-
-        merge_band(&mut open, &mut open_scratch, &res, y0, y1, &segs, &mut out);
-    }
-    stats::add_bands(bands_merged);
-    for ot in &open {
-        if ot.y_top.is_finite() {
-            emit(ot, &segs, &mut out);
-        }
-    }
-    compact_trapezoids(out)
 }
 
 /// Folds one band's result intervals into the set of open trapezoids:
 /// an interval whose bounding segments match an open trapezoid ending
 /// exactly at `y0` extends it; everything else opens fresh, and open
-/// trapezoids not extended into this band are emitted. Shared verbatim by
-/// the binary and n-ary sweeps so the two engines stay in lockstep.
+/// trapezoids not extended into this band are emitted.
 fn merge_band(
     open: &mut Vec<OpenTrapezoid>,
     scratch: &mut Vec<OpenTrapezoid>,
@@ -727,72 +513,8 @@ fn merge_band(
     std::mem::swap(open, next_open);
 }
 
-/// N-ary boolean combinations supported by [`boolean_op_many`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NaryOp {
-    /// Points in **every** operand.
-    Intersection,
-    /// Points in **at least one** operand.
-    Union,
-}
-
-/// Computes an n-ary boolean combination of polygon sets in a **single
-/// scanline sweep**, each operand interpreted with the even-odd rule.
-///
-/// Semantically equivalent to folding [`boolean_op`] over the operands
-/// (`a ∩ b ∩ c ∩ …` or `a ∪ b ∪ c ∪ …`), but the chain of N−1 pairwise
-/// sweeps — each of which re-decomposes, re-crosses and re-merges the
-/// accumulated intermediate result — is replaced by one sweep whose bands
-/// merge all N operands' interval lists at once. For intersections the
-/// sweep is additionally restricted to the common y-window of all operands
-/// and segments wholly outside it are dropped up front, since no point
-/// outside that window can lie in every operand.
-pub fn boolean_op_many(operands: &[&[Ring]], op: NaryOp) -> Vec<Ring> {
-    let per_op: Vec<Vec<Segment>> = operands
-        .iter()
-        .map(|rings| collect_segments(rings))
-        .collect();
-    match plan_nary(per_op, op) {
-        NaryPlan::Empty => Vec::new(),
-        NaryPlan::Passthrough(i) => operands[i].to_vec(),
-        NaryPlan::Sweep {
-            per_op,
-            threshold,
-            window,
-        } => stitch_sweep(&sweep_bands(per_op, threshold, window)),
-    }
-}
-
-/// [`boolean_op_many`] with an explicit band-chunk count: the deterministic
-/// hook perf guards use to exercise the **parallel per-band merge** path on
-/// any machine, independent of core count and of how the threading backend
-/// reads its configuration (a global-pool rayon initializes its worker
-/// count once per process, so flipping an env var mid-run proves nothing).
-/// Results are bit-identical to [`boolean_op_many`] for every chunk count —
-/// that is the property the `region` bench bin asserts.
-pub fn boolean_op_many_chunked(operands: &[&[Ring]], op: NaryOp, chunks: usize) -> Vec<Ring> {
-    let per_op: Vec<Vec<Segment>> = operands
-        .iter()
-        .map(|rings| collect_segments(rings))
-        .collect();
-    match plan_nary(per_op, op) {
-        NaryPlan::Empty => Vec::new(),
-        NaryPlan::Passthrough(i) => operands[i].to_vec(),
-        NaryPlan::Sweep {
-            per_op,
-            threshold,
-            window,
-        } => stitch_sweep(&sweep_bands_chunked(
-            per_op,
-            threshold,
-            window,
-            Some(chunks.max(1)),
-        )),
-    }
-}
-
-/// The resolved shape of an n-ary combination after operand triage: nothing
-/// to do, a verbatim single-operand passthrough (by original operand index),
+/// The resolved shape of a combination after operand triage: nothing to
+/// do, a verbatim single-operand passthrough (by original operand index),
 /// or a genuine sweep over the pruned segment lists.
 pub(crate) enum NaryPlan {
     /// The result is the empty set.
@@ -801,59 +523,31 @@ pub(crate) enum NaryPlan {
     Passthrough(usize),
     /// A sweep is required.
     Sweep {
-        /// Per-operand segment lists (pruned to the window for
-        /// intersections; empty operands removed for unions).
+        /// Per-operand segment lists, pruned to the window when one
+        /// applies, without the operands that cannot change the result (a
+        /// difference's first operand stays first).
         per_op: Vec<Vec<Segment>>,
-        /// Minimum operand coverage for a point to be in the result.
-        threshold: usize,
         /// The y-window the sweep is restricted to, when one applies.
         window: Option<(f64, f64)>,
     },
 }
 
-/// Triage of an n-ary combination from per-operand segment lists (aligned
-/// with the caller's operand order; empty lists represent empty operands).
-/// This is the shared front half of [`boolean_op_many`] and the banded
-/// entry points, so ring-based and banded operands resolve fast paths —
-/// empty-operand annihilation, single-operand passthrough, common-window
-/// pruning — identically.
-pub(crate) fn plan_nary(mut per_op: Vec<Vec<Segment>>, op: NaryOp) -> NaryPlan {
-    match op {
-        NaryOp::Intersection => {
-            if per_op.is_empty() {
-                return NaryPlan::Empty;
-            }
-            let mut lo = f64::NEG_INFINITY;
-            let mut hi = f64::INFINITY;
-            for segs in &per_op {
-                if segs.is_empty() {
-                    // An empty operand annihilates the intersection.
-                    return NaryPlan::Empty;
-                }
-                let (slo, shi) = y_range(segs);
-                lo = lo.max(slo);
-                hi = hi.min(shi);
-            }
-            if per_op.len() == 1 {
-                return NaryPlan::Passthrough(0);
-            }
-            if hi - lo < MIN_BAND {
-                return NaryPlan::Empty;
-            }
-            for segs in &mut per_op {
-                segs.retain(|s| s.max_y() > lo && s.min_y() < hi);
-                if segs.is_empty() {
-                    return NaryPlan::Empty;
-                }
-            }
-            let threshold = per_op.len();
-            NaryPlan::Sweep {
-                per_op,
-                threshold,
-                window: Some((lo, hi)),
-            }
-        }
-        NaryOp::Union => {
+/// Triage of a combination from per-operand segment lists (aligned with
+/// the caller's operand order; empty lists represent empty operands). This
+/// is the front half of [`boolean_op`] and of
+/// [`crate::Region::intersect_many`], so both resolve the fast paths
+/// identically:
+///
+/// * union and xor drop empty operands, and a single one left is the
+///   result;
+/// * an empty operand empties an intersection, and a lone operand is the
+///   result;
+/// * an empty first operand empties a difference, and when every other
+///   operand is empty or lies outside the first operand's y-range, the
+///   first operand is the result.
+pub(crate) fn plan_nary(mut per_op: Vec<Vec<Segment>>, op: BoolOp) -> NaryPlan {
+    let (lo, hi) = match op {
+        BoolOp::Union | BoolOp::Xor => {
             let mut kept: Vec<Vec<Segment>> = Vec::with_capacity(per_op.len());
             let mut last_non_empty = 0;
             for (i, segs) in per_op.into_iter().enumerate() {
@@ -862,18 +556,59 @@ pub(crate) fn plan_nary(mut per_op: Vec<Vec<Segment>>, op: NaryOp) -> NaryPlan {
                     last_non_empty = i;
                 }
             }
-            if kept.is_empty() {
+            return match kept.len() {
+                0 => NaryPlan::Empty,
+                1 => NaryPlan::Passthrough(last_non_empty),
+                _ => NaryPlan::Sweep {
+                    per_op: kept,
+                    window: None,
+                },
+            };
+        }
+        BoolOp::Intersection => {
+            if per_op.is_empty() || per_op.iter().any(Vec::is_empty) {
                 return NaryPlan::Empty;
             }
-            if kept.len() == 1 {
-                return NaryPlan::Passthrough(last_non_empty);
+            if per_op.len() == 1 {
+                return NaryPlan::Passthrough(0);
             }
-            NaryPlan::Sweep {
-                per_op: kept,
-                threshold: 1,
-                window: None,
-            }
+            per_op.iter().map(|segs| y_range(segs)).fold(
+                (f64::NEG_INFINITY, f64::INFINITY),
+                |(lo, hi), (slo, shi)| (lo.max(slo), hi.min(shi)),
+            )
         }
+        BoolOp::Difference => {
+            if per_op.first().is_none_or(Vec::is_empty) {
+                return NaryPlan::Empty;
+            }
+            if per_op[1..].iter().all(Vec::is_empty) {
+                return NaryPlan::Passthrough(0);
+            }
+            y_range(&per_op[0])
+        }
+    };
+    if hi - lo < MIN_BAND {
+        return NaryPlan::Empty;
+    }
+    for segs in &mut per_op {
+        segs.retain(|s| s.max_y() > lo && s.min_y() < hi);
+    }
+    if op == BoolOp::Difference {
+        let mut subtrahends = per_op.split_off(1);
+        subtrahends.retain(|segs| !segs.is_empty());
+        if per_op[0].is_empty() {
+            return NaryPlan::Empty;
+        }
+        if subtrahends.is_empty() {
+            return NaryPlan::Passthrough(0);
+        }
+        per_op.extend(subtrahends);
+    } else if per_op.iter().any(Vec::is_empty) {
+        return NaryPlan::Empty;
+    }
+    NaryPlan::Sweep {
+        per_op,
+        window: Some((lo, hi)),
     }
 }
 
@@ -891,12 +626,11 @@ pub(crate) struct BandData {
     end: usize,
 }
 
-/// The banded outcome of an n-ary sweep: the segment arena the intervals
-/// index into, the shared interval pool, plus the processed bands in
-/// ascending-y order. This is the sweep's *native* output —
-/// [`stitch_bands`] turns it into rings, and
-/// [`crate::banded::BandedRegion`] keeps it as-is so downstream operations
-/// can consume the decomposition without re-polygonizing.
+/// The banded outcome of a sweep: the segment arena the intervals index
+/// into, the shared interval pool, plus the processed bands in ascending-y
+/// order. This is the sweep's *native* output — [`stitch_sweep`] turns it
+/// into rings, and [`crate::banded::BandedRegion`] keeps it as-is so
+/// callers can read it without re-polygonizing.
 #[derive(Debug, Clone)]
 pub(crate) struct BandedSweep {
     pub(crate) segs: Vec<Segment>,
@@ -927,42 +661,22 @@ impl BandedSweep {
     }
 }
 
-/// Sweeps that would process at least this many bands hand contiguous band
-/// chunks to rayon workers; smaller sweeps are not worth the thread spawns
-/// of the workspace's scoped-thread rayon stand-in.
-const PARALLEL_MIN_WINDOWS: usize = 256;
-
-/// The shared n-ary sweep: one band decomposition over all operands,
-/// keeping x-ranges covered by at least `threshold` operands
-/// (`threshold == n` is intersection, `threshold == 1` union). Returns the
-/// banded decomposition; callers stitch it into rings ([`stitch_bands`]) or
-/// keep it banded.
+/// The one band sweep: a band decomposition over all operands that keeps,
+/// in every band, the x-ranges `op` selects from the operands' coverage.
+/// Returns the banded decomposition; callers stitch it into rings
+/// ([`stitch_sweep`]) or keep it banded.
 ///
-/// Bands are independent of each other — each is fully determined by the
-/// segments spanning its midline — so large sweeps compute them in
-/// **parallel contiguous chunks** (each chunk rebuilds its active set from
-/// the shared `min_y` order, which yields exactly the sequential sweep's
-/// active list at that band), then concatenate the per-chunk band lists in
-/// order. The result is bit-identical to the sequential sweep regardless of
-/// worker count; per-chunk band counts are merged into the calling thread's
-/// [`stats`] counter on join.
+/// The active list is kept **sorted by `(x, seq)` across bands** instead of
+/// being re-sorted per operand per band: consecutive midlines only swap the
+/// segments that actually cross between them, so an adaptive insertion pass
+/// (cost: active size + inversions) repairs the order, and entrants
+/// binary-insert at their position. `(x, seq)` is a total order that does
+/// not depend on the previous band's arrangement, so the maintained list
+/// equals a from-scratch sort at every band.
 pub(crate) fn sweep_bands(
     per_op: Vec<Vec<Segment>>,
-    threshold: usize,
+    op: BoolOp,
     window: Option<(f64, f64)>,
-) -> BandedSweep {
-    sweep_bands_chunked(per_op, threshold, window, None)
-}
-
-/// [`sweep_bands`] with an explicit chunk-count override (`None` = decide
-/// from the band count and worker pool). The override exists for tests that
-/// pin chunked-vs-sequential bit equality without depending on the
-/// machine's core count.
-pub(crate) fn sweep_bands_chunked(
-    per_op: Vec<Vec<Segment>>,
-    threshold: usize,
-    window: Option<(f64, f64)>,
-    force_chunks: Option<usize>,
 ) -> BandedSweep {
     let n_ops = per_op.len();
     // One segment arena (trapezoid corners index into it) plus the owning
@@ -978,7 +692,7 @@ pub(crate) fn sweep_bands_chunked(
 
     let ys = event_ys(&segs, window);
 
-    // Segment entry order shared by every chunk.
+    // Segments enter the active list in `min_y` order.
     let mut by_min: Vec<usize> = (0..segs.len()).collect();
     by_min.sort_by(|&i, &j| {
         segs[i]
@@ -987,112 +701,16 @@ pub(crate) fn sweep_bands_chunked(
             .unwrap_or(std::cmp::Ordering::Equal)
     });
 
-    let windows = ys.len().saturating_sub(1);
-    let chunk_count = force_chunks.unwrap_or_else(|| {
-        let workers = rayon::current_num_threads();
-        if windows >= PARALLEL_MIN_WINDOWS && workers > 1 {
-            workers.min(windows.div_ceil(PARALLEL_MIN_WINDOWS / 2))
-        } else {
-            1
-        }
-    });
-    let (bands, pool) = if chunk_count > 1 && windows > 1 {
-        use rayon::prelude::*;
-        let chunk_count = chunk_count.min(windows);
-        let chunk_len = windows.div_ceil(chunk_count);
-        let ranges: Vec<(usize, usize)> = (0..chunk_count)
-            .map(|c| (c * chunk_len, ((c + 1) * chunk_len).min(windows)))
-            .filter(|(s, e)| s < e)
-            .collect();
-        let chunked: Vec<(Vec<BandData>, Vec<Interval>)> = ranges
-            .par_iter()
-            .map(|&(start, end)| {
-                bands_for_windows(&segs, &op_of, n_ops, threshold, &by_min, &ys, start, end)
-            })
-            .collect();
-        // Concatenate per-chunk band lists and interval pools in band
-        // order, rebasing each chunk's pool ranges onto the merged pool.
-        let mut bands: Vec<BandData> = Vec::with_capacity(windows);
-        let mut pool: Vec<Interval> = Vec::new();
-        for (chunk_bands, chunk_pool) in chunked {
-            let base = pool.len();
-            pool.extend(chunk_pool);
-            bands.extend(chunk_bands.into_iter().map(|b| BandData {
-                start: b.start + base,
-                end: b.end + base,
-                ..b
-            }));
-        }
-        stats::add_bands(bands.len() as u64);
-        (bands, pool)
-    } else {
-        let (bands, pool) =
-            bands_for_windows(&segs, &op_of, n_ops, threshold, &by_min, &ys, 0, windows);
-        stats::add_bands(bands.len() as u64);
-        (bands, pool)
-    };
-    BandedSweep { segs, pool, bands }
-}
-
-/// One entry of the incrementally ordered active list: the segment's x at
-/// the current band midline, its position in the shared `by_min` entry
-/// order (`seq`, the tie-break), and its arena index.
-#[derive(Debug, Clone, Copy)]
-struct ActiveSeg {
-    x: f64,
-    seq: u32,
-    idx: u32,
-}
-
-/// Strict `(x, seq)` order of the active list. Comparing `x` through
-/// `partial_cmp` and breaking ties on the entry sequence reproduces
-/// exactly what the historical per-band stable sort by x produced from a
-/// `by_min`-ordered list, so the interval pairing sees identical input.
-fn active_before(a: &ActiveSeg, b: &ActiveSeg) -> bool {
-    match a.x.partial_cmp(&b.x) {
-        Some(std::cmp::Ordering::Less) => true,
-        Some(std::cmp::Ordering::Equal) => a.seq < b.seq,
-        _ => false,
-    }
-}
-
-/// Computes the merged interval lists for the contiguous window range
-/// `[start, end)` of `ys`, maintaining the active set incrementally. A
-/// chunk starting mid-sweep seeds its active set by scanning `by_min` from
-/// the top — the segments with `min_y` below the first midline, in `min_y`
-/// order, filtered to those still alive — which is exactly the state the
-/// sequential sweep would have on arriving at that band, so chunked and
-/// sequential output are identical element for element.
-///
-/// The active list is kept **sorted by `(x, seq)` across bands** instead of
-/// being re-sorted per operand per band: consecutive midlines only swap the
-/// segments that actually cross between them, so an adaptive insertion pass
-/// (cost: active size + inversions) repairs the order, and entrants
-/// binary-insert at their position. Because `(x, seq)` is a total order
-/// that does not depend on the previous band's arrangement, the maintained
-/// list equals the from-scratch sort at every band — chunked seeding stays
-/// bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn bands_for_windows(
-    segs: &[Segment],
-    op_of: &[u32],
-    n_ops: usize,
-    threshold: usize,
-    by_min: &[usize],
-    ys: &[f64],
-    start: usize,
-    end: usize,
-) -> (Vec<BandData>, Vec<Interval>) {
     let mut next_in = 0usize;
     let mut ordered: Vec<ActiveSeg> = Vec::new();
     let mut xs_per_op: Vec<Vec<(f64, usize)>> = vec![Vec::new(); n_ops];
     let mut intervals_per_op: Vec<Vec<Interval>> = vec![Vec::new(); n_ops];
     let mut events: Vec<CountEvent> = Vec::new();
-    let mut out: Vec<BandData> = Vec::with_capacity(end - start);
+    let mut bands: Vec<BandData> = Vec::with_capacity(ys.len().saturating_sub(1));
     let mut pool: Vec<Interval> = Vec::new();
 
-    for w in start..end {
-        let (y0, y1) = (ys[w], ys[w + 1]);
+    for w in ys.windows(2) {
+        let (y0, y1) = (w[0], w[1]);
         if y1 - y0 < MIN_BAND {
             continue;
         }
@@ -1143,46 +761,64 @@ fn bands_for_windows(
         let mut dead = false;
         let mut non_empty = 0usize;
         let mut last_non_empty = 0usize;
-        for (oi, xs) in xs_per_op.iter_mut().enumerate() {
+        for (oi, xs) in xs_per_op.iter().enumerate() {
             pair_intervals_into(xs, &mut intervals_per_op[oi]);
-            if intervals_per_op[oi].is_empty() {
-                if threshold == n_ops {
-                    // One empty operand empties the whole band's intersection.
-                    dead = true;
-                    break;
-                }
-            } else {
+            if !intervals_per_op[oi].is_empty() {
                 non_empty += 1;
                 last_non_empty = oi;
+            } else if op == BoolOp::Intersection || (op == BoolOp::Difference && oi == 0) {
+                // An empty operand empties an intersection band, and an
+                // empty first operand a difference band.
+                dead = true;
+                break;
             }
         }
         let pool_start = pool.len();
         if !dead {
-            if threshold == 1 && non_empty == 1 {
-                // A union band covered by a single operand *is* that
-                // operand's interval list: the per-operand lists are
-                // already disjoint, sorted and EPS-filtered, so the event
-                // merge would reproduce them verbatim.
+            if non_empty == 1 {
+                // Where one operand alone covers a band that is not dead,
+                // every op keeps exactly its intervals: the per-operand
+                // lists are already disjoint, sorted and EPS-filtered, so
+                // the event merge would reproduce them verbatim.
                 pool.extend_from_slice(&intervals_per_op[last_non_empty]);
             } else {
-                interval_op_many(&intervals_per_op, threshold, &mut events, &mut pool);
+                interval_op_many(&intervals_per_op, op, &mut events, &mut pool);
             }
         }
-        out.push(BandData {
+        bands.push(BandData {
             y0,
             y1,
             start: pool_start,
             end: pool.len(),
         });
     }
-    (out, pool)
+    stats::add_bands(bands.len() as u64);
+    BandedSweep { segs, pool, bands }
 }
 
-/// Stitches a banded sweep result into interior-disjoint rings: the exact
-/// historical output path — every band folded through [`merge_band`] in
-/// order, trailing open trapezoids emitted, and vertically mergeable quads
-/// compacted — so `stitch_bands(sweep_bands(..))` is bit-identical to what
-/// the one-piece sweep used to return.
+/// One entry of the incrementally ordered active list: the segment's x at
+/// the current band midline, its position in the `by_min` entry order
+/// (`seq`, the tie-break), and its arena index.
+#[derive(Debug, Clone, Copy)]
+struct ActiveSeg {
+    x: f64,
+    seq: u32,
+    idx: u32,
+}
+
+/// Strict `(x, seq)` order of the active list: `x` compared through
+/// `partial_cmp`, ties broken on the entry sequence.
+fn active_before(a: &ActiveSeg, b: &ActiveSeg) -> bool {
+    match a.x.partial_cmp(&b.x) {
+        Some(std::cmp::Ordering::Less) => true,
+        Some(std::cmp::Ordering::Equal) => a.seq < b.seq,
+        _ => false,
+    }
+}
+
+/// Stitches a banded sweep result into interior-disjoint rings: every band
+/// folded through [`merge_band`] in order, trailing open trapezoids
+/// emitted, and vertically mergeable quads compacted.
 pub(crate) fn stitch_sweep(sweep: &BandedSweep) -> Vec<Ring> {
     let segs = &sweep.segs;
     let mut out: Vec<Ring> = Vec::new();
@@ -1207,22 +843,24 @@ pub(crate) fn stitch_sweep(sweep: &BandedSweep) -> Vec<Ring> {
     compact_trapezoids(out)
 }
 
-/// An interval endpoint event of the n-ary per-band combine.
+/// An interval endpoint event of the per-band combine.
 #[derive(Clone, Copy)]
 struct CountEvent {
     x: f64,
+    /// `1` where an operand's interval starts, `-1` where it ends.
     delta: i32,
+    /// Whether the interval is the first operand's.
+    first: bool,
     seg: usize,
 }
 
-/// Merges N disjoint, sorted per-operand interval lists, keeping x-ranges
-/// covered by at least `threshold` operands. `events` is a reusable
-/// scratch buffer (cleared here); results are **appended** to `out` (the
-/// sweep's shared interval pool), so the band loop performs no per-band
-/// allocation at all.
+/// Merges N disjoint, sorted per-operand interval lists, keeping the
+/// x-ranges `op` selects. `events` is a reusable scratch buffer (cleared
+/// here); results are **appended** to `out` (the sweep's shared interval
+/// pool), so the band loop performs no per-band allocation at all.
 fn interval_op_many(
     per_op: &[Vec<Interval>],
-    threshold: usize,
+    op: BoolOp,
     events: &mut Vec<CountEvent>,
     out: &mut Vec<Interval>,
 ) {
@@ -1230,16 +868,19 @@ fn interval_op_many(
     events.clear();
     let total: usize = per_op.iter().map(|l| l.len()).sum();
     events.reserve(2 * total);
-    for list in per_op {
+    for (oi, list) in per_op.iter().enumerate() {
+        let first = oi == 0;
         for itv in list {
             events.push(Event {
                 x: itv.xl,
                 delta: 1,
+                first,
                 seg: itv.seg_l,
             });
             events.push(Event {
                 x: itv.xr,
                 delta: -1,
+                first,
                 seg: itv.seg_r,
             });
         }
@@ -1253,12 +894,25 @@ fn interval_op_many(
             .then_with(|| b.delta.cmp(&a.delta))
     });
 
+    // An operand's own intervals are disjoint, so `count` is the number of
+    // operands covering the current x.
+    let n = per_op.len() as i32;
+    let selected = |count: i32, in_first: bool| match op {
+        BoolOp::Union => count >= 1,
+        BoolOp::Intersection => count >= n,
+        BoolOp::Difference => in_first && count == 1,
+        BoolOp::Xor => count % 2 == 1,
+    };
     let mut count = 0i32;
+    let mut in_first = false;
     let mut open: Option<(f64, usize)> = None;
     for ev in events.iter() {
-        let was = count >= threshold as i32;
+        let was = selected(count, in_first);
         count += ev.delta;
-        let now = count >= threshold as i32;
+        if ev.first {
+            in_first = ev.delta > 0;
+        }
+        let now = selected(count, in_first);
         if now && !was {
             open = Some((ev.x, ev.seg));
         } else if was && !now {
@@ -1422,10 +1076,10 @@ mod tests {
     fn disjoint_squares() {
         let a = square(0.0, 0.0, 1.0, 1.0);
         let b = square(5.0, 5.0, 6.0, 6.0);
-        assert!((total_area(&boolean_op(&a, &b, BoolOp::Union)) - 2.0).abs() < 1e-6);
-        assert!(total_area(&boolean_op(&a, &b, BoolOp::Intersection)) < 1e-9);
-        assert!((total_area(&boolean_op(&a, &b, BoolOp::Difference)) - 1.0).abs() < 1e-6);
-        assert!((total_area(&boolean_op(&a, &b, BoolOp::Xor)) - 2.0).abs() < 1e-6);
+        assert!((total_area(&boolean_op(&[&a, &b], BoolOp::Union)) - 2.0).abs() < 1e-6);
+        assert!(total_area(&boolean_op(&[&a, &b], BoolOp::Intersection)) < 1e-9);
+        assert!((total_area(&boolean_op(&[&a, &b], BoolOp::Difference)) - 1.0).abs() < 1e-6);
+        assert!((total_area(&boolean_op(&[&a, &b], BoolOp::Xor)) - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1433,13 +1087,13 @@ mod tests {
         // Unit squares overlapping in a 0.5 x 1.0 strip.
         let a = square(0.0, 0.0, 1.0, 1.0);
         let b = square(0.5, 0.0, 1.5, 1.0);
-        let union = boolean_op(&a, &b, BoolOp::Union);
+        let union = boolean_op(&[&a, &b], BoolOp::Union);
         assert!((total_area(&union) - 1.5).abs() < 1e-6);
-        let inter = boolean_op(&a, &b, BoolOp::Intersection);
+        let inter = boolean_op(&[&a, &b], BoolOp::Intersection);
         assert!((total_area(&inter) - 0.5).abs() < 1e-6);
-        let diff = boolean_op(&a, &b, BoolOp::Difference);
+        let diff = boolean_op(&[&a, &b], BoolOp::Difference);
         assert!((total_area(&diff) - 0.5).abs() < 1e-6);
-        let xor = boolean_op(&a, &b, BoolOp::Xor);
+        let xor = boolean_op(&[&a, &b], BoolOp::Xor);
         assert!((total_area(&xor) - 1.0).abs() < 1e-6);
         // Spot-check membership.
         assert!(contains(&inter, Vec2::new(0.75, 0.5)));
@@ -1453,7 +1107,7 @@ mod tests {
     fn nested_squares_difference_creates_a_hole() {
         let outer = square(0.0, 0.0, 4.0, 4.0);
         let inner = square(1.0, 1.0, 3.0, 3.0);
-        let diff = boolean_op(&outer, &inner, BoolOp::Difference);
+        let diff = boolean_op(&[&outer, &inner], BoolOp::Difference);
         assert!((total_area(&diff) - 12.0).abs() < 1e-6);
         assert!(contains(&diff, Vec2::new(0.5, 0.5)));
         assert!(contains(&diff, Vec2::new(3.5, 2.0)));
@@ -1462,32 +1116,32 @@ mod tests {
             "the hole must be excluded"
         );
         // Intersection recovers the inner square.
-        let inter = boolean_op(&outer, &inner, BoolOp::Intersection);
+        let inter = boolean_op(&[&outer, &inner], BoolOp::Intersection);
         assert!((total_area(&inter) - 4.0).abs() < 1e-6);
         // Union is just the outer square.
-        let union = boolean_op(&outer, &inner, BoolOp::Union);
+        let union = boolean_op(&[&outer, &inner], BoolOp::Union);
         assert!((total_area(&union) - 16.0).abs() < 1e-6);
     }
 
     #[test]
     fn identical_operands() {
         let a = square(0.0, 0.0, 2.0, 3.0);
-        assert!((total_area(&boolean_op(&a, &a, BoolOp::Union)) - 6.0).abs() < 1e-5);
-        assert!((total_area(&boolean_op(&a, &a, BoolOp::Intersection)) - 6.0).abs() < 1e-5);
-        assert!(total_area(&boolean_op(&a, &a, BoolOp::Difference)) < 1e-5);
-        assert!(total_area(&boolean_op(&a, &a, BoolOp::Xor)) < 1e-5);
+        assert!((total_area(&boolean_op(&[&a, &a], BoolOp::Union)) - 6.0).abs() < 1e-5);
+        assert!((total_area(&boolean_op(&[&a, &a], BoolOp::Intersection)) - 6.0).abs() < 1e-5);
+        assert!(total_area(&boolean_op(&[&a, &a], BoolOp::Difference)) < 1e-5);
+        assert!(total_area(&boolean_op(&[&a, &a], BoolOp::Xor)) < 1e-5);
     }
 
     #[test]
     fn empty_operands() {
         let a = square(0.0, 0.0, 1.0, 1.0);
         let empty: Vec<Ring> = Vec::new();
-        assert!((total_area(&boolean_op(&a, &empty, BoolOp::Union)) - 1.0).abs() < 1e-9);
-        assert!(total_area(&boolean_op(&a, &empty, BoolOp::Intersection)) < 1e-12);
-        assert!((total_area(&boolean_op(&a, &empty, BoolOp::Difference)) - 1.0).abs() < 1e-9);
-        assert!((total_area(&boolean_op(&empty, &a, BoolOp::Union)) - 1.0).abs() < 1e-9);
-        assert!(total_area(&boolean_op(&empty, &a, BoolOp::Difference)) < 1e-12);
-        assert!(total_area(&boolean_op(&empty, &empty, BoolOp::Union)) < 1e-12);
+        assert!((total_area(&boolean_op(&[&a, &empty], BoolOp::Union)) - 1.0).abs() < 1e-9);
+        assert!(total_area(&boolean_op(&[&a, &empty], BoolOp::Intersection)) < 1e-12);
+        assert!((total_area(&boolean_op(&[&a, &empty], BoolOp::Difference)) - 1.0).abs() < 1e-9);
+        assert!((total_area(&boolean_op(&[&empty, &a], BoolOp::Union)) - 1.0).abs() < 1e-9);
+        assert!(total_area(&boolean_op(&[&empty, &a], BoolOp::Difference)) < 1e-12);
+        assert!(total_area(&boolean_op(&[&empty, &empty], BoolOp::Union)) < 1e-12);
     }
 
     #[test]
@@ -1496,7 +1150,7 @@ mod tests {
         // 2r² cos⁻¹(d/2r) − (d/2)·√(4r²−d²) ≈ 1.2284.
         let a = vec![Ring::regular_polygon(Vec2::new(0.0, 0.0), 1.0, 256)];
         let b = vec![Ring::regular_polygon(Vec2::new(1.0, 0.0), 1.0, 256)];
-        let lens = boolean_op(&a, &b, BoolOp::Intersection);
+        let lens = boolean_op(&[&a, &b], BoolOp::Intersection);
         let expected = 2.0 * (0.5f64).acos() - 0.5 * (4.0f64 - 1.0).sqrt();
         assert!(
             (total_area(&lens) - expected).abs() < 0.01,
@@ -1505,7 +1159,7 @@ mod tests {
             expected
         );
         // Union area = 2πr² − lens.
-        let union = boolean_op(&a, &b, BoolOp::Union);
+        let union = boolean_op(&[&a, &b], BoolOp::Union);
         let expected_union = 2.0 * std::f64::consts::PI - expected;
         assert!((total_area(&union) - expected_union).abs() < 0.02);
     }
@@ -1516,9 +1170,9 @@ mod tests {
         let a = vec![Ring::regular_polygon(Vec2::new(0.0, 0.0), 100.0, 128)];
         let b = vec![Ring::regular_polygon(Vec2::new(80.0, 0.0), 100.0, 128)];
         let c = vec![Ring::regular_polygon(Vec2::new(40.0, 0.0), 20.0, 64)];
-        let lens = boolean_op(&a, &b, BoolOp::Intersection);
+        let lens = boolean_op(&[&a, &b], BoolOp::Intersection);
         let lens_area = total_area(&lens);
-        let result = boolean_op(&lens, &c, BoolOp::Difference);
+        let result = boolean_op(&[&lens, &c], BoolOp::Difference);
         let expected = lens_area - std::f64::consts::PI * 20.0 * 20.0;
         assert!(
             (total_area(&result) - expected).abs() / expected < 0.01,
@@ -1534,7 +1188,7 @@ mod tests {
     fn difference_with_partially_overlapping_circle() {
         let a = vec![Ring::regular_polygon(Vec2::new(0.0, 0.0), 10.0, 128)];
         let b = vec![Ring::regular_polygon(Vec2::new(15.0, 0.0), 10.0, 128)];
-        let diff = boolean_op(&a, &b, BoolOp::Difference);
+        let diff = boolean_op(&[&a, &b], BoolOp::Difference);
         // Area = circle − lens; lens for r=10, d=15: 2r²cos⁻¹(d/2r) − (d/2)√(4r²−d²)
         let r: f64 = 10.0;
         let d: f64 = 15.0;
@@ -1551,14 +1205,14 @@ mod tests {
             Vec2::new(2.0, 4.0),
         ])];
         let sq = square(0.0, 0.0, 4.0, 2.0);
-        let inter = boolean_op(&tri, &sq, BoolOp::Intersection);
+        let inter = boolean_op(&[&tri, &sq], BoolOp::Intersection);
         // The triangle below y=2 is a trapezoid with area 6 (bases 4 and 2, height 2).
         assert!(
             (total_area(&inter) - 6.0).abs() < 1e-5,
             "area {}",
             total_area(&inter)
         );
-        let union = boolean_op(&tri, &sq, BoolOp::Union);
+        let union = boolean_op(&[&tri, &sq], BoolOp::Union);
         // Union = triangle (8) + square (8) − intersection (6) = 10.
         assert!((total_area(&union) - 10.0).abs() < 1e-5);
     }
@@ -1577,10 +1231,10 @@ mod tests {
             .collect();
         let mut chained = disks[0].clone();
         for d in &disks[1..] {
-            chained = boolean_op(&chained, d, BoolOp::Intersection);
+            chained = boolean_op(&[&chained, d], BoolOp::Intersection);
         }
         let operands: Vec<&[Ring]> = disks.iter().map(|d| d.as_slice()).collect();
-        let nary = boolean_op_many(&operands, NaryOp::Intersection);
+        let nary = boolean_op(&operands, BoolOp::Intersection);
         let (ca, na) = (total_area(&chained), total_area(&nary));
         assert!(
             (ca - na).abs() / ca.max(1.0) < 1e-6,
@@ -1620,10 +1274,10 @@ mod tests {
             .collect();
         let mut chained = shapes[0].clone();
         for s in &shapes[1..] {
-            chained = boolean_op(&chained, s, BoolOp::Union);
+            chained = boolean_op(&[&chained, s], BoolOp::Union);
         }
         let operands: Vec<&[Ring]> = shapes.iter().map(|s| s.as_slice()).collect();
-        let nary = boolean_op_many(&operands, NaryOp::Union);
+        let nary = boolean_op(&operands, BoolOp::Union);
         let (ca, na) = (total_area(&chained), total_area(&nary));
         assert!(
             (ca - na).abs() / ca.max(1.0) < 1e-6,
@@ -1635,16 +1289,60 @@ mod tests {
     fn nary_intersection_empty_and_degenerate_operands() {
         let a = square(0.0, 0.0, 1.0, 1.0);
         let empty: Vec<Ring> = Vec::new();
-        assert!(boolean_op_many(&[], NaryOp::Intersection).is_empty());
-        assert!(boolean_op_many(&[&a, &empty], NaryOp::Intersection).is_empty());
-        let only = boolean_op_many(&[&a], NaryOp::Intersection);
+        assert!(boolean_op(&[], BoolOp::Intersection).is_empty());
+        assert!(boolean_op(&[&a, &empty], BoolOp::Intersection).is_empty());
+        let only = boolean_op(&[&a], BoolOp::Intersection);
         assert!((total_area(&only) - 1.0).abs() < 1e-9);
-        assert!(boolean_op_many(&[], NaryOp::Union).is_empty());
-        let u = boolean_op_many(&[&empty, &a, &empty], NaryOp::Union);
+        assert!(boolean_op(&[], BoolOp::Union).is_empty());
+        let u = boolean_op(&[&empty, &a, &empty], BoolOp::Union);
         assert!((total_area(&u) - 1.0).abs() < 1e-9);
         // Disjoint y-windows annihilate the intersection without a sweep.
         let b = square(0.0, 5.0, 1.0, 6.0);
-        assert!(boolean_op_many(&[&a, &b], NaryOp::Intersection).is_empty());
+        assert!(boolean_op(&[&a, &b], BoolOp::Intersection).is_empty());
+    }
+
+    /// Triage of the n-ary difference and xor: an empty first operand
+    /// empties a difference; subtrahends that are all empty, or all outside
+    /// the first operand's y-range, return it verbatim; xor drops empty
+    /// operands as union does and keeps odd coverage.
+    #[test]
+    fn nary_difference_and_xor_triage() {
+        let a = square(0.0, 0.0, 1.0, 1.0);
+        let b = square(0.5, 0.0, 1.5, 1.0);
+        let c = square(0.25, 0.0, 0.75, 1.0);
+        let empty: Vec<Ring> = Vec::new();
+        assert!(boolean_op(&[], BoolOp::Difference).is_empty());
+        assert!(boolean_op(&[&empty, &a], BoolOp::Difference).is_empty());
+        assert_eq!(boolean_op(&[&a], BoolOp::Difference), a);
+        assert_eq!(boolean_op(&[&a, &empty, &empty], BoolOp::Difference), a);
+        // Touching the first operand's y-range from outside is outside.
+        let above = square(0.0, 1.0, 1.0, 2.0);
+        let below = square(-1.0, -3.0, 2.0, -1.0);
+        assert_eq!(boolean_op(&[&a, &above, &below], BoolOp::Difference), a);
+        // Such subtrahends drop out of a sweep that still runs.
+        let pair = boolean_op(&[&a, &b], BoolOp::Difference);
+        assert_eq!(
+            boolean_op(&[&a, &above, &b, &empty], BoolOp::Difference),
+            pair
+        );
+        assert!((total_area(&pair) - 0.5).abs() < 1e-9);
+        let triple = boolean_op(&[&a, &b, &c], BoolOp::Difference);
+        assert!((total_area(&triple) - 0.25).abs() < 1e-9);
+        assert!(contains(&triple, Vec2::new(0.1, 0.5)));
+        assert!(!contains(&triple, Vec2::new(0.4, 0.5)));
+        assert!(boolean_op(&[&c, &a], BoolOp::Difference).is_empty());
+
+        assert!(boolean_op(&[], BoolOp::Xor).is_empty());
+        assert!(boolean_op(&[&empty, &empty], BoolOp::Xor).is_empty());
+        assert_eq!(boolean_op(&[&empty, &a, &empty], BoolOp::Xor), a);
+        // Coverage 1, 2, 3, 2, 1 across x = 0, 0.25, 0.5, 0.75, 1, 1.5.
+        let xor = boolean_op(&[&a, &b, &c], BoolOp::Xor);
+        assert!((total_area(&xor) - 1.0).abs() < 1e-9);
+        assert!(contains(&xor, Vec2::new(0.1, 0.5)));
+        assert!(!contains(&xor, Vec2::new(0.4, 0.5)));
+        assert!(contains(&xor, Vec2::new(0.6, 0.5)));
+        assert!(!contains(&xor, Vec2::new(0.9, 0.5)));
+        assert!(contains(&xor, Vec2::new(1.2, 0.5)));
     }
 
     #[test]
@@ -1662,13 +1360,13 @@ mod tests {
         let before_chain = stats::thread_band_merges();
         let mut chained = disks[0].clone();
         for d in &disks[1..] {
-            chained = boolean_op(&chained, d, BoolOp::Intersection);
+            chained = boolean_op(&[&chained, d], BoolOp::Intersection);
         }
         let chain_bands = stats::thread_band_merges() - before_chain;
 
         let operands: Vec<&[Ring]> = disks.iter().map(|d| d.as_slice()).collect();
         let before_nary = stats::thread_band_merges();
-        let nary = boolean_op_many(&operands, NaryOp::Intersection);
+        let nary = boolean_op(&operands, BoolOp::Intersection);
         let nary_bands = stats::thread_band_merges() - before_nary;
 
         assert!(
@@ -1677,65 +1375,6 @@ mod tests {
         );
         let (ca, na) = (total_area(&chained), total_area(&nary));
         assert!((ca - na).abs() / ca.max(1.0) < 1e-6);
-    }
-
-    /// The chunked (parallel) per-band path must be bit-identical to the
-    /// sequential sweep — same bands, same intervals, same stitched rings —
-    /// and must merge the **same number of bands** into the calling
-    /// thread's counter, whatever the chunk count.
-    #[test]
-    fn chunked_band_sweep_is_bit_identical_to_sequential() {
-        let disks: Vec<Vec<Ring>> = (0..8)
-            .map(|i| {
-                let a = i as f64 * 0.9;
-                vec![Ring::regular_polygon(
-                    Vec2::new(a.cos() * 120.0, a.sin() * 120.0),
-                    400.0,
-                    96,
-                )]
-            })
-            .collect();
-        let per_op = |disks: &[Vec<Ring>]| -> Vec<Vec<Segment>> {
-            disks.iter().map(|d| collect_segments(d)).collect()
-        };
-        let window = {
-            // Mirror plan_nary's window computation for the intersection.
-            match plan_nary(per_op(&disks), NaryOp::Intersection) {
-                NaryPlan::Sweep { window, .. } => window,
-                _ => panic!("expected a sweep"),
-            }
-        };
-
-        let threshold = disks.len();
-        let before_seq = stats::thread_band_merges();
-        let seq = sweep_bands_chunked(per_op(&disks), threshold, window, Some(1));
-        let seq_bands = stats::thread_band_merges() - before_seq;
-
-        for chunks in [2, 3, 7] {
-            let before = stats::thread_band_merges();
-            let par = sweep_bands_chunked(per_op(&disks), threshold, window, Some(chunks));
-            let par_bands = stats::thread_band_merges() - before;
-            assert_eq!(
-                seq_bands, par_bands,
-                "chunked ({chunks}) band count must match sequential"
-            );
-            assert_eq!(seq.bands.len(), par.bands.len());
-            for (a, b) in seq.bands.iter().zip(&par.bands) {
-                assert_eq!(a.y0.to_bits(), b.y0.to_bits());
-                assert_eq!(a.y1.to_bits(), b.y1.to_bits());
-                let (iva, ivb) = (seq.intervals(a), par.intervals(b));
-                assert_eq!(iva.len(), ivb.len());
-                for (ia, ib) in iva.iter().zip(ivb) {
-                    assert_eq!(ia.seg_l, ib.seg_l);
-                    assert_eq!(ia.seg_r, ib.seg_r);
-                    assert_eq!(ia.xl.to_bits(), ib.xl.to_bits());
-                    assert_eq!(ia.xr.to_bits(), ib.xr.to_bits());
-                }
-            }
-            let ra = stitch_sweep(&seq);
-            let rb = stitch_sweep(&par);
-            assert_eq!(ra, rb, "stitched rings must be identical");
-        }
     }
 
     /// The all-pairs crossing oracle: every pair goes through `crossing_y`,
@@ -1770,9 +1409,9 @@ mod tests {
     /// A sweep's segment arena and its y-window.
     type Arena = (Vec<Segment>, Option<(f64, f64)>);
 
-    /// The segment arena and window an n-ary sweep over `operands` runs on,
-    /// or `None` when triage skips the sweep.
-    fn nary_arena(operands: &[&Region], op: NaryOp) -> Option<Arena> {
+    /// The segment arena and window a sweep over `operands` runs on, or
+    /// `None` when triage skips the sweep.
+    fn nary_arena(operands: &[&Region], op: BoolOp) -> Option<Arena> {
         let per_op = operands
             .iter()
             .map(|r| collect_segments(r.rings()))
@@ -1783,25 +1422,15 @@ mod tests {
         }
     }
 
-    /// The segment arena and window `boolean_op(a, b, Difference)` sweeps:
-    /// both operands clipped to `a`'s y-range, `a`'s segments first.
-    fn difference_arena(a: &Region, b: &Region) -> Arena {
-        let (lo, hi) = y_range(&collect_segments(a.rings()));
-        let clipped = |r: &Region| {
-            let mut segs = collect_segments(r.rings());
-            segs.retain(|s| s.max_y() > lo && s.min_y() < hi);
-            segs
-        };
-        ([clipped(a), clipped(b)].concat(), Some((lo, hi)))
-    }
-
-    /// Checks the union and intersection sweeps over `operands` and each
-    /// step of subtracting the rest from the first.
+    /// Checks the sweeps of every op over `operands` and each step of
+    /// subtracting the rest from the first.
     fn assert_operand_set_matches_oracle(tag: &str, operands: &[Region]) {
         let refs: Vec<&Region> = operands.iter().collect();
         for (name, op) in [
-            ("union", NaryOp::Union),
-            ("intersect", NaryOp::Intersection),
+            ("union", BoolOp::Union),
+            ("intersect", BoolOp::Intersection),
+            ("difference", BoolOp::Difference),
+            ("xor", BoolOp::Xor),
         ] {
             if let Some((segs, window)) = nary_arena(&refs, op) {
                 assert_events_match_oracle(&format!("{tag}/{name}"), &segs, window);
@@ -1809,8 +1438,9 @@ mod tests {
         }
         let mut acc = operands[0].clone();
         for (i, r) in operands[1..].iter().enumerate() {
-            let (segs, window) = difference_arena(&acc, r);
-            assert_events_match_oracle(&format!("{tag}/subtract{i}"), &segs, window);
+            if let Some((segs, window)) = nary_arena(&[&acc, r], BoolOp::Difference) {
+                assert_events_match_oracle(&format!("{tag}/subtract{i}"), &segs, window);
+            }
             acc = acc.subtract(r);
         }
     }
@@ -1917,10 +1547,10 @@ mod tests {
             })
             .collect();
         let refs: Vec<&Region> = disks.iter().collect();
-        let (segs, window) = nary_arena(&refs, NaryOp::Intersection).expect("a sweep");
+        let (segs, window) = nary_arena(&refs, BoolOp::Intersection).expect("a sweep");
         assert_events_match_oracle("intersect16", &segs, window);
 
-        let mut estimate = Region::intersect_many(disks.iter());
+        let mut estimate = Region::intersect_many(disks.iter()).into_region();
         let (mut oracle_crossings, mut pushed) = (0, 0);
         for i in 0..8 {
             let a = i as f64 * 2.3;
@@ -1928,7 +1558,8 @@ mod tests {
                 Vec2::new(a.cos() * 350.0, a.sin() * 300.0),
                 120.0 + 25.0 * (i % 3) as f64,
             );
-            let (segs, window) = difference_arena(&estimate, &bite);
+            let (segs, window) =
+                nary_arena(&[&estimate, &bite], BoolOp::Difference).expect("a sweep");
             assert_events_match_oracle(&format!("subtract{i}"), &segs, window);
             let mut ys = Vec::new();
             all_pairs_crossing_ys(&segs, &mut ys);
@@ -1953,7 +1584,7 @@ mod tests {
     fn result_rings_are_disjoint_quads() {
         let a = vec![Ring::regular_polygon(Vec2::new(0.0, 0.0), 50.0, 64)];
         let b = vec![Ring::regular_polygon(Vec2::new(30.0, 10.0), 50.0, 64)];
-        let u = boolean_op(&a, &b, BoolOp::Union);
+        let u = boolean_op(&[&a, &b], BoolOp::Union);
         // Sample many points: even-odd count over result rings must be 0 or 1
         // (i.e. rings do not overlap).
         for i in 0..40 {

@@ -6,14 +6,17 @@
 //! must be area-equivalent to the chain and membership-equivalent against
 //! the analytic ground truth away from flattening-scale boundary bands,
 //! across randomized disk/polygon operand sets. On top of the n-ary/pairwise
-//! parity, the classic algebra identities (De Morgan, absorption) and the
+//! parity, the n-ary difference and xor of the raw sweep
+//! (`scanline::boolean_op`) against chained two-operand ops, the classic
+//! algebra identities (De Morgan, absorption) and the
 //! morphological laws (dilation monotonicity and containment, the
 //! `dilate(0)`/`erode(0)` clone short-circuits) are pinned here.
 //!
 //! The workspace's proptest stand-in generates cases from a fixed per-test
 //! seed, so CI runs are reproducible by construction.
 
-use octant_region::{BandedRegion, Region, Vec2};
+use octant_region::scanline::{boolean_op, BoolOp};
+use octant_region::{BandedRegion, Region, Ring, Vec2};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -95,6 +98,16 @@ fn shapes_from(seed: (f64, f64, f64, u64), count: usize) -> Vec<Shape> {
     out
 }
 
+/// Total area of a ring set.
+fn rings_area(rings: &[Ring]) -> f64 {
+    rings.iter().map(Ring::area).sum()
+}
+
+/// Even-odd membership over a ring set.
+fn even_odd(rings: &[Ring], p: Vec2) -> bool {
+    rings.iter().filter(|r| r.contains(p)).count() % 2 == 1
+}
+
 fn chained_intersection(shapes: &[Shape]) -> Region {
     let mut acc = shapes[0].region.clone();
     for s in &shapes[1..] {
@@ -111,10 +124,10 @@ fn chained_union(shapes: &[Shape]) -> Region {
     acc
 }
 
-/// Grid membership check of `region` against an analytic predicate, skipping
-/// points within `margin` km of any analytic boundary.
+/// Grid membership check of `contains` against an analytic predicate,
+/// skipping points within `margin` km of any analytic boundary.
 fn assert_grid_membership(
-    region: &Region,
+    contains: impl Fn(Vec2) -> bool,
     shapes: &[Shape],
     margin: f64,
     want: impl Fn(&dyn Fn(usize, Vec2) -> bool, Vec2) -> bool,
@@ -143,7 +156,7 @@ fn assert_grid_membership(
             }
             let expected = want(&member, p);
             prop_assert_eq!(
-                region.contains(p),
+                contains(p),
                 expected,
                 "membership mismatch at {} (expected {})",
                 p,
@@ -169,11 +182,11 @@ proptest! {
     ) {
         let shapes = shapes_from((x, y, r, salt), count);
         let chained = chained_intersection(&shapes);
-        let nary = Region::intersect_many(shapes.iter().map(|s| &s.region));
+        let nary = Region::intersect_many(shapes.iter().map(|s| &s.region)).into_region();
         let (ca, na) = (chained.area(), nary.area());
         let scale = ca.max(na).max(1.0);
         prop_assert!((ca - na).abs() / scale < 1e-6, "chained {ca} vs n-ary {na}");
-        assert_grid_membership(&nary, &shapes, 3.0, |member, p| {
+        assert_grid_membership(|p| nary.contains(p), &shapes, 3.0, |member, p| {
             (0..shapes.len()).all(|i| member(i, p))
         })?;
     }
@@ -194,8 +207,63 @@ proptest! {
         let (ca, na) = (chained.area(), nary.area());
         let scale = ca.max(na).max(1.0);
         prop_assert!((ca - na).abs() / scale < 1e-6, "chained {ca} vs n-ary {na}");
-        assert_grid_membership(&nary, &shapes, 3.0, |member, p| {
+        assert_grid_membership(|p| nary.contains(p), &shapes, 3.0, |member, p| {
             (0..shapes.len()).any(|i| member(i, p))
+        })?;
+    }
+
+    /// One n-ary difference sweep (a large minuend minus 2–4 disks and
+    /// rectangles) is area-equivalent to the chain of two-operand
+    /// subtractions and membership-equivalent to the analytic difference.
+    #[test]
+    fn nary_difference_matches_chained_reference(
+        x in -300.0f64..300.0,
+        y in -300.0f64..300.0,
+        r in 125.0f64..300.0,
+        salt in 0u64..u64::MAX,
+        count in 3usize..6,
+    ) {
+        let c = Vec2::new(x, y);
+        let mut shapes = vec![Shape {
+            region: Region::disk(c, 4.0 * r),
+            kind: ShapeKind::Disk { c, r: 4.0 * r },
+        }];
+        shapes.extend(shapes_from((x, y, r, salt), count - 1));
+        let mut chained = shapes[0].region.clone();
+        for s in &shapes[1..] {
+            chained = chained.subtract(&s.region);
+        }
+        let operands: Vec<&[Ring]> = shapes.iter().map(|s| s.region.rings()).collect();
+        let nary = boolean_op(&operands, BoolOp::Difference);
+        let (ca, na) = (chained.area(), rings_area(&nary));
+        prop_assert!((ca - na).abs() / ca.max(na).max(1.0) < 1e-6, "chained {ca} vs n-ary {na}");
+        assert_grid_membership(|p| even_odd(&nary, p), &shapes, 3.0, |member, p| {
+            member(0, p) && !(1..shapes.len()).any(|i| member(i, p))
+        })?;
+    }
+
+    /// One n-ary xor sweep over 3–5 disks and rectangles (points covered
+    /// an odd number of times) is area-equivalent to the chain of
+    /// two-operand xors and membership-equivalent to the analytic parity.
+    #[test]
+    fn nary_xor_matches_chained_reference(
+        x in -400.0f64..400.0,
+        y in -400.0f64..400.0,
+        r in 250.0f64..600.0,
+        salt in 0u64..u64::MAX,
+        count in 3usize..6,
+    ) {
+        let shapes = shapes_from((x, y, r, salt), count);
+        let mut chained = shapes[0].region.clone();
+        for s in &shapes[1..] {
+            chained = chained.xor(&s.region);
+        }
+        let operands: Vec<&[Ring]> = shapes.iter().map(|s| s.region.rings()).collect();
+        let nary = boolean_op(&operands, BoolOp::Xor);
+        let (ca, na) = (chained.area(), rings_area(&nary));
+        prop_assert!((ca - na).abs() / ca.max(na).max(1.0) < 1e-6, "chained {ca} vs n-ary {na}");
+        assert_grid_membership(|p| even_odd(&nary, p), &shapes, 3.0, |member, p| {
+            (0..shapes.len()).filter(|&i| member(i, p)).count() % 2 == 1
         })?;
     }
 
@@ -212,7 +280,7 @@ proptest! {
         let (a, b) = (&shapes[0].region, &shapes[1].region);
         let frame = Region::rectangle(Vec2::new(-2200.0, -2200.0), Vec2::new(2200.0, 2200.0));
         let lhs = frame.subtract(&a.union(b));
-        let rhs = Region::intersect_many([&frame.subtract(a), &frame.subtract(b)]);
+        let rhs = Region::intersect_many([&frame.subtract(a), &frame.subtract(b)]).into_region();
         let scale = lhs.area().max(rhs.area()).max(1.0);
         prop_assert!(
             (lhs.area() - rhs.area()).abs() / scale < 1e-4,
@@ -290,7 +358,7 @@ proptest! {
         // Grid-membership parity of all four representations, away from
         // the analytic boundaries.
         let even_odd = |p: Vec2| contours.iter().filter(|c| c.contains(p)).count() % 2 == 1;
-        assert_grid_membership(&region, &shapes, 3.0, |member, p| {
+        assert_grid_membership(|p| region.contains(p), &shapes, 3.0, |member, p| {
             (0..shapes.len()).any(|i| member(i, p))
         })?;
         if let Some((lo, hi)) = region.bbox() {
