@@ -74,9 +74,8 @@ pub(crate) fn sanitize_weight(weight: f64) -> f64 {
     sanitize(weight)
 }
 
-/// The default decay constant (ms) of the exponential latency weighting —
-/// the single place the paper's §2.4 weighting constant lives. Configurable
-/// per run via `OctantConfig::weight_decay_ms`.
+/// The decay constant (ms) of the exponential latency weighting — the
+/// single place the paper's §2.4 weighting constant lives.
 pub const DEFAULT_WEIGHT_DECAY_MS: f64 = 80.0;
 
 /// The exponential latency weighting of §2.4: `exp(-latency / decay)`.

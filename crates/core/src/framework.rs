@@ -3,7 +3,7 @@
 
 use crate::batch::{LandmarkModel, TargetScratch};
 use crate::calibration::{Calibration, CalibrationConfig, CalibrationSample};
-use crate::constraint::{sanitize_weight, Constraint};
+use crate::constraint::{sanitize_weight, Constraint, DEFAULT_WEIGHT_DECAY_MS};
 use crate::heights::{adjust_rtt, estimate_target_height, Heights, PairMatrix};
 use crate::piecewise;
 use crate::pipeline::{EvidencePipeline, ProvenanceReport, SourceReport, TargetContext};
@@ -43,8 +43,6 @@ pub enum RouterLocalization {
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
 pub struct OctantConfig {
-    /// Latency→distance calibration parameters (§2.1).
-    pub calibration: CalibrationConfig,
     /// Estimate and remove per-node queuing delays (§2.2).
     pub use_heights: bool,
     /// Derive negative (exclusion) constraints from the calibration's lower
@@ -57,84 +55,33 @@ pub struct OctantConfig {
     pub use_whois: bool,
     /// Remove oceans/uninhabitable areas from the final estimate (§2.5).
     pub use_landmass_constraint: bool,
-    /// Decay constant (ms) of the exponential latency weighting (§2.4).
-    pub weight_decay_ms: f64,
-    /// Minimum area (km²) the solver must preserve (§2.4's size threshold).
-    pub min_region_area_km2: f64,
-    /// Radius of the positive constraint derived from a WHOIS city record.
-    pub whois_radius_km: f64,
-    /// Weight of the WHOIS constraint (kept modest: records are often stale).
-    pub whois_weight: f64,
-    /// Metro-scale uncertainty added around a router localized by city hint.
-    pub router_city_uncertainty_km: f64,
     /// Maximum number of router-derived constraints per target.
     pub max_router_constraints: usize,
-    /// Floor on positive-constraint radii (km): even a vanishing adjusted
-    /// latency cannot claim better-than-metro accuracy.
-    pub min_positive_radius_km: f64,
-    /// Height adjustment never removes more than this fraction of the raw
-    /// latency, guarding against over-estimated heights collapsing a
-    /// constraint to nothing.
-    pub max_height_adjustment_frac: f64,
-    /// Boundary-simplification tolerance (km) applied to the running region
-    /// estimate between solver iterations (see
-    /// [`crate::solver::SolverConfig::simplify_tolerance_km`]). Kept far
-    /// below the curve-flattening tolerance so it reclaims scanline seam
-    /// fragmentation without moving any decision boundary.
-    pub region_simplify_tolerance_km: f64,
     /// Parse the *target's own* hostname for `undns`-style city codes and
     /// use the resolved city as a positive hint (the `DnsNameSource`). Off
     /// by default: arbitrary hostnames can contain code-like labels.
     pub use_dns_hints: bool,
-    /// Radius of the positive constraint derived from a target DNS hint.
-    pub dns_hint_radius_km: f64,
-    /// Weight of the target DNS hint (names are sometimes stale or wrong).
-    pub dns_hint_weight: f64,
     /// Fold in the coarse population-density prior as a low-weight positive
     /// constraint (the `PopulationPrior` source). Off by default.
     pub use_population_prior: bool,
-    /// Grid cell size (degrees) of the population prior.
-    pub population_cell_deg: f64,
-    /// Minimum summed metro population (thousands) for a grid cell to count
-    /// as populated.
-    pub population_min_cell_k: u32,
-    /// Weight of the population prior (kept low: it is a prior, not a
-    /// measurement).
-    pub population_weight: f64,
 }
 
 impl Default for OctantConfig {
     fn default() -> Self {
         OctantConfig {
-            calibration: CalibrationConfig::default(),
             use_heights: true,
             use_negative_constraints: true,
             router_localization: RouterLocalization::CityHint,
             use_whois: true,
             use_landmass_constraint: true,
-            weight_decay_ms: crate::constraint::DEFAULT_WEIGHT_DECAY_MS,
-            min_region_area_km2: 10_000.0,
-            whois_radius_km: 250.0,
-            whois_weight: 0.25,
-            router_city_uncertainty_km: 60.0,
             max_router_constraints: 12,
-            min_positive_radius_km: 50.0,
-            max_height_adjustment_frac: 0.6,
-            region_simplify_tolerance_km: 0.25,
             use_dns_hints: false,
-            dns_hint_radius_km: 150.0,
-            dns_hint_weight: 0.35,
             use_population_prior: false,
-            population_cell_deg: 7.5,
-            population_min_cell_k: 1500,
-            population_weight: 0.15,
         }
     }
 }
 
 crate::config_setters!(OctantConfig {
-    /// Sets the latency→distance calibration parameters (§2.1).
-    with_calibration: calibration: CalibrationConfig,
     /// Enables/disables the §2.2 height (queuing delay) solve.
     with_use_heights: use_heights: bool,
     /// Enables/disables negative (exclusion) latency constraints.
@@ -145,38 +92,12 @@ crate::config_setters!(OctantConfig {
     with_use_whois: use_whois: bool,
     /// Enables/disables the landmass restriction (§2.5).
     with_use_landmass_constraint: use_landmass_constraint: bool,
-    /// Sets the exponential latency-weight decay constant (ms, §2.4).
-    with_weight_decay_ms: weight_decay_ms: f64,
-    /// Sets the solver's minimum preserved area (km², §2.4).
-    with_min_region_area_km2: min_region_area_km2: f64,
-    /// Sets the WHOIS constraint radius (km).
-    with_whois_radius_km: whois_radius_km: f64,
-    /// Sets the WHOIS constraint weight.
-    with_whois_weight: whois_weight: f64,
-    /// Sets the metro uncertainty around city-hinted routers (km).
-    with_router_city_uncertainty_km: router_city_uncertainty_km: f64,
     /// Caps the number of router-derived constraints per target.
     with_max_router_constraints: max_router_constraints: usize,
-    /// Sets the floor on positive-constraint radii (km).
-    with_min_positive_radius_km: min_positive_radius_km: f64,
-    /// Caps the fraction of a raw RTT the height adjustment may remove.
-    with_max_height_adjustment_frac: max_height_adjustment_frac: f64,
-    /// Sets the between-iterations region simplification tolerance (km).
-    with_region_simplify_tolerance_km: region_simplify_tolerance_km: f64,
     /// Enables/disables target-hostname DNS hints (`DnsNameSource`).
     with_use_dns_hints: use_dns_hints: bool,
-    /// Sets the DNS-hint constraint radius (km).
-    with_dns_hint_radius_km: dns_hint_radius_km: f64,
-    /// Sets the DNS-hint constraint weight.
-    with_dns_hint_weight: dns_hint_weight: f64,
     /// Enables/disables the population-density prior (`PopulationPrior`).
     with_use_population_prior: use_population_prior: bool,
-    /// Sets the population prior's grid cell size (degrees).
-    with_population_cell_deg: population_cell_deg: f64,
-    /// Sets the population prior's per-cell population threshold (thousands).
-    with_population_min_cell_k: population_min_cell_k: u32,
-    /// Sets the population prior's constraint weight.
-    with_population_weight: population_weight: f64,
 });
 
 impl OctantConfig {
@@ -248,10 +169,10 @@ pub trait RouterEstimateSource: Sync {
     ///
     /// A caching implementation may round `radius` **up** to a radius-class
     /// boundary so nearby residuals share one dilation (`octant-service`'s
-    /// opt-in `dilation_radius_step_km`); the resulting constraint is
-    /// slightly looser but never tighter, preserving soundness. With
-    /// rounding enabled results are no longer bit-identical to the inline
-    /// path — which is why it is opt-in and off by default.
+    /// `dilation_radius_step_km`, on by default at 25 km); the resulting
+    /// constraint is slightly looser but never tighter, preserving
+    /// soundness. With rounding on, results are no longer bit-identical to
+    /// the inline path, so callers that pin bit-identity set the step to 0.
     fn dilated_region(
         &self,
         router: NodeId,
@@ -358,6 +279,18 @@ pub struct RecalibrationReport {
     pub calibrations_rebuilt: usize,
 }
 
+/// Height adjustment never removes more than this fraction of the raw
+/// latency, guarding against over-estimated heights collapsing a constraint
+/// to nothing.
+const MAX_HEIGHT_ADJUSTMENT_FRAC: f64 = 0.6;
+
+/// Minimum area (km²) the solver must preserve: §2.4's size threshold.
+const MIN_REGION_AREA_KM2: f64 = 10_000.0;
+
+/// Metro-scale uncertainty (km) added around a router localized by city
+/// hint, or by a sub-solve that produced only a point.
+const ROUTER_CITY_UNCERTAINTY_KM: f64 = 60.0;
+
 impl Octant {
     /// Creates an Octant instance with the given configuration and the
     /// standard evidence pipeline.
@@ -399,16 +332,16 @@ impl Octant {
         }
     }
 
-    /// Removes heights from a raw RTT, but never more than the configured
-    /// fraction of it: over-estimated heights (which absorb route inflation)
-    /// must not collapse a measurement to zero.
+    /// Removes heights from a raw RTT, but never more than
+    /// [`MAX_HEIGHT_ADJUSTMENT_FRAC`] of it: over-estimated heights (which
+    /// absorb route inflation) must not collapse a measurement to zero.
     pub(crate) fn bounded_adjust(
         &self,
         raw: Latency,
         landmark_height_ms: f64,
         target_height_ms: f64,
     ) -> Latency {
-        let floor = raw * (1.0 - self.config.max_height_adjustment_frac.clamp(0.0, 1.0));
+        let floor = raw * (1.0 - MAX_HEIGHT_ADJUSTMENT_FRAC);
         adjust_rtt(raw, landmark_height_ms, target_height_ms).max(floor)
     }
 
@@ -467,9 +400,9 @@ impl Octant {
         let (samples, pooled) = self.calibration_samples(&inter_rtts, &distance, &heights);
         let calibrations = samples
             .into_iter()
-            .map(|s| Calibration::from_samples(s, self.config.calibration))
+            .map(|s| Calibration::from_samples(s, CalibrationConfig::default()))
             .collect();
-        let global_calibration = Calibration::from_samples(pooled, self.config.calibration);
+        let global_calibration = Calibration::from_samples(pooled, CalibrationConfig::default());
 
         LandmarkModel {
             lm_ids,
@@ -645,11 +578,11 @@ impl Octant {
                     previous.calibrations[i].clone()
                 } else {
                     report.calibrations_rebuilt += 1;
-                    Calibration::from_samples(samples, self.config.calibration)
+                    Calibration::from_samples(samples, CalibrationConfig::default())
                 }
             })
             .collect();
-        let global_calibration = Calibration::from_samples(pooled, self.config.calibration);
+        let global_calibration = Calibration::from_samples(pooled, CalibrationConfig::default());
 
         let model = LandmarkModel {
             lm_ids,
@@ -682,26 +615,6 @@ impl Octant {
         }
         let mut scratch = TargetScratch::default();
         self.localize_prepared(provider, model, target, true, None, &mut scratch)
-    }
-
-    /// [`Octant::localize_with_model`] with an explicit
-    /// [`RouterEstimateSource`] consulted by the `Recursive` router mode
-    /// instead of running each router sub-solve inline. Passing a caching
-    /// source makes serving many targets behind shared routers pay for each
-    /// router's sub-localization once; results are bit-identical to the
-    /// inline path as long as the source honours its contract.
-    pub fn localize_with_model_using(
-        &self,
-        provider: &dyn ObservationProvider,
-        model: &LandmarkModel,
-        target: NodeId,
-        routers: Option<&dyn RouterEstimateSource>,
-    ) -> LocationEstimate {
-        if model.contains_landmark(target) {
-            return self.localize(provider, model.landmark_ids(), target);
-        }
-        let mut scratch = TargetScratch::default();
-        self.localize_prepared(provider, model, target, true, routers, &mut scratch)
     }
 
     /// Computes the recursive §2.3 location estimate of one on-path router:
@@ -836,11 +749,8 @@ impl Octant {
         }
 
         // ---- Solve -------------------------------------------------------------------
-        let solver = Solver::new(
-            SolverConfig::default()
-                .with_min_region_area_km2(self.config.min_region_area_km2)
-                .with_simplify_tolerance_km(self.config.region_simplify_tolerance_km),
-        );
+        let solver =
+            Solver::new(SolverConfig::default().with_min_region_area_km2(MIN_REGION_AREA_KM2));
         let (mut region, report, applied) = solver.solve_traced(projection, constraints);
 
         // ---- Provenance + post-solve refinements (§2.5) ---------------------------
@@ -962,8 +872,8 @@ impl Octant {
                                 projection,
                                 &localized,
                                 global_calibration,
-                                Distance::from_km(self.config.router_city_uncertainty_km),
-                                self.config.weight_decay_ms,
+                                Distance::from_km(ROUTER_CITY_UNCERTAINTY_KM),
+                                DEFAULT_WEIGHT_DECAY_MS,
                             ));
                         }
                     }
@@ -1005,7 +915,7 @@ impl Octant {
                         out.push(piecewise::secondary_landmark_constraint_from_dilated(
                             dilated.reproject(projection),
                             residual,
-                            self.config.weight_decay_ms,
+                            DEFAULT_WEIGHT_DECAY_MS,
                             format!("router:{}", last.hostname),
                         ));
                     } else if let Some(router_region) = &router_estimate.region {
@@ -1014,20 +924,20 @@ impl Octant {
                             &anchored,
                             residual,
                             global_calibration,
-                            self.config.weight_decay_ms,
+                            DEFAULT_WEIGHT_DECAY_MS,
                             format!("router:{}", last.hostname),
                         ));
                     } else if let Some(p) = router_estimate.point {
                         let small = GeoRegion::disk(
                             projection,
                             p,
-                            Distance::from_km(self.config.router_city_uncertainty_km),
+                            Distance::from_km(ROUTER_CITY_UNCERTAINTY_KM),
                         );
                         out.push(piecewise::secondary_landmark_constraint(
                             &small,
                             residual,
                             global_calibration,
-                            self.config.weight_decay_ms,
+                            DEFAULT_WEIGHT_DECAY_MS,
                             format!("router:{}", last.hostname),
                         ));
                     }

@@ -39,7 +39,7 @@
 //! [`LocationEstimate`]: crate::framework::LocationEstimate
 
 use crate::batch::LandmarkModel;
-use crate::constraint::{latency_weight, Constraint};
+use crate::constraint::{latency_weight, Constraint, DEFAULT_WEIGHT_DECAY_MS};
 use crate::framework::{
     host_descriptor, host_ip, Octant, OctantConfig, RouterEstimateSource, RouterLocalization,
 };
@@ -260,21 +260,6 @@ impl EvidencePipeline {
         self
     }
 
-    /// Appends a source with an explicit enable switch and weight scale.
-    pub fn with_source_config(
-        mut self,
-        source: Arc<dyn ConstraintSource>,
-        enabled: bool,
-        weight_scale: f64,
-    ) -> Self {
-        self.entries.push(PipelineEntry {
-            source,
-            enabled,
-            weight_scale,
-        });
-        self
-    }
-
     /// The pipeline's slots, in application order.
     pub fn entries(&self) -> &[PipelineEntry] {
         &self.entries
@@ -322,8 +307,9 @@ impl EvidencePipeline {
     }
 
     /// A copy with the listed sources disabled and the listed weight scales
-    /// applied — the one-call form behind per-request source selection
-    /// (`octant-service`'s `LocalizeOptions`). Unknown ids are ignored.
+    /// applied — the one-call form behind the offline ablations and
+    /// per-request source selection (`octant-service`'s `LocalizeOptions`).
+    /// Unknown ids are ignored.
     pub fn adjusted(&self, disabled: &[SourceId], weight_scales: &[(SourceId, f64)]) -> Self {
         let mut out = self.clone();
         for id in disabled {
@@ -436,6 +422,10 @@ impl ProvenanceReport {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct LatencySource;
 
+/// Floor on positive-constraint radii (km): even a vanishing adjusted
+/// latency cannot claim better-than-metro accuracy.
+const MIN_POSITIVE_RADIUS_KM: f64 = 50.0;
+
 impl ConstraintSource for LatencySource {
     fn id(&self) -> SourceId {
         SourceId::Latency
@@ -456,10 +446,10 @@ impl ConstraintSource for LatencySource {
             } else {
                 raw
             };
-            let weight = latency_weight(adjusted, cfg.weight_decay_ms);
+            let weight = latency_weight(adjusted, DEFAULT_WEIGHT_DECAY_MS);
             let r_max = model.calibrations[i]
                 .max_distance(adjusted)
-                .max(Distance::from_km(cfg.min_positive_radius_km));
+                .max(Distance::from_km(MIN_POSITIVE_RADIUS_KM));
             let region = GeoRegion::disk(ctx.projection, model.lm_pos[i], r_max);
             out.push(Constraint::positive(region, weight, format!("lm{}+", i)));
 
@@ -519,14 +509,19 @@ impl ConstraintSource for RouterSource {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HintSource;
 
+/// Radius (km) of the positive constraint derived from a WHOIS city record.
+const WHOIS_RADIUS_KM: f64 = 250.0;
+
+/// Weight of the WHOIS constraint (kept modest: records are often stale).
+const WHOIS_WEIGHT: f64 = 0.25;
+
 impl ConstraintSource for HintSource {
     fn id(&self) -> SourceId {
         SourceId::Hint
     }
 
     fn constraints(&self, ctx: &TargetContext<'_>) -> Vec<Constraint> {
-        let cfg = ctx.config;
-        if !cfg.use_whois {
+        if !ctx.config.use_whois {
             return Vec::new();
         }
         let ip = match host_ip(ctx.provider, ctx.target) {
@@ -540,8 +535,8 @@ impl ConstraintSource for HintSource {
         geography::whois_constraint(
             ctx.projection,
             &city,
-            Distance::from_km(cfg.whois_radius_km),
-            cfg.whois_weight,
+            Distance::from_km(WHOIS_RADIUS_KM),
+            WHOIS_WEIGHT,
         )
         .into_iter()
         .collect()
@@ -557,14 +552,19 @@ impl ConstraintSource for HintSource {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DnsNameSource;
 
+/// Radius (km) of the positive constraint derived from a target DNS hint.
+const DNS_HINT_RADIUS_KM: f64 = 150.0;
+
+/// Weight of the target DNS hint (names are sometimes stale or wrong).
+const DNS_HINT_WEIGHT: f64 = 0.35;
+
 impl ConstraintSource for DnsNameSource {
     fn id(&self) -> SourceId {
         SourceId::DnsName
     }
 
     fn constraints(&self, ctx: &TargetContext<'_>) -> Vec<Constraint> {
-        let cfg = ctx.config;
-        if !cfg.use_dns_hints {
+        if !ctx.config.use_dns_hints {
             return Vec::new();
         }
         let hostname = host_descriptor(ctx.provider, ctx.target).map(|h| h.hostname);
@@ -575,11 +575,11 @@ impl ConstraintSource for DnsNameSource {
         let region = GeoRegion::disk(
             ctx.projection,
             city.location(),
-            Distance::from_km(cfg.dns_hint_radius_km),
+            Distance::from_km(DNS_HINT_RADIUS_KM),
         );
         vec![Constraint::positive(
             region,
-            cfg.dns_hint_weight,
+            DNS_HINT_WEIGHT,
             format!("dns:{}", city.code),
         )]
     }
@@ -593,27 +593,37 @@ impl ConstraintSource for DnsNameSource {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PopulationPrior;
 
+/// Grid cell size (degrees) of the population prior.
+const POPULATION_CELL_DEG: f64 = 7.5;
+
+/// Minimum summed metro population (thousands) for a grid cell to count as
+/// populated.
+const POPULATION_MIN_CELL_K: u32 = 1500;
+
+/// Weight of the population prior (kept low: it is a prior, not a
+/// measurement).
+const POPULATION_WEIGHT: f64 = 0.15;
+
 impl ConstraintSource for PopulationPrior {
     fn id(&self) -> SourceId {
         SourceId::PopulationPrior
     }
 
     fn constraints(&self, ctx: &TargetContext<'_>) -> Vec<Constraint> {
-        let cfg = ctx.config;
-        if !cfg.use_population_prior {
+        if !ctx.config.use_population_prior {
             return Vec::new();
         }
         let region = geography::population_prior_region_cached(
             ctx.projection,
-            cfg.population_cell_deg,
-            cfg.population_min_cell_k,
+            POPULATION_CELL_DEG,
+            POPULATION_MIN_CELL_K,
         );
         if region.is_empty() {
             return Vec::new();
         }
         vec![Constraint::positive(
             region,
-            cfg.population_weight,
+            POPULATION_WEIGHT,
             "population",
         )]
     }

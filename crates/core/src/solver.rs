@@ -29,33 +29,12 @@ pub struct SolverConfig {
     /// A constraint is skipped when applying it would leave less than this
     /// much area (km²). This is the "desired size threshold" of §2.4.
     pub min_region_area_km2: f64,
-    /// A negative constraint is additionally skipped when it would remove
-    /// more than this fraction of the current estimate: a single exclusion
-    /// that wipes out most of what every positive constraint agreed on is far
-    /// more likely to be an over-aggressive lower bound than real
-    /// information (the weighted-combination rationale of §2.4).
-    pub max_negative_removal_frac: f64,
-    /// Boundary-simplification tolerance (km) applied to the running
-    /// estimate between solver iterations. Chained boolean operations
-    /// fragment ring boundaries at scanline band seams; reclaiming the
-    /// (near-)collinear vertices after each applied constraint keeps the
-    /// cost of subsequent operations from growing with chain length. The
-    /// default is far below both the 1 km curve-flattening tolerance and
-    /// any constraint radius, so it never affects localization decisions.
-    pub simplify_tolerance_km: f64,
-    /// The estimate's representation is re-simplified with escalating
-    /// tolerance whenever it exceeds this many boundary vertices (see
-    /// [`octant_region::Region::simplify_to_budget`]).
-    pub max_estimate_vertices: usize,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             min_region_area_km2: 5_000.0,
-            max_negative_removal_frac: 0.6,
-            simplify_tolerance_km: 0.25,
-            max_estimate_vertices: 4096,
         }
     }
 }
@@ -63,14 +42,28 @@ impl Default for SolverConfig {
 crate::config_setters!(SolverConfig {
     /// Sets the minimum preserved estimate area (km², §2.4).
     with_min_region_area_km2: min_region_area_km2: f64,
-    /// Sets the cap on the estimate fraction one negative constraint may
-    /// remove.
-    with_max_negative_removal_frac: max_negative_removal_frac: f64,
-    /// Sets the between-iterations boundary-simplification tolerance (km).
-    with_simplify_tolerance_km: simplify_tolerance_km: f64,
-    /// Sets the estimate's boundary vertex budget.
-    with_max_estimate_vertices: max_estimate_vertices: usize,
 });
+
+/// A negative constraint is additionally skipped when it would remove more
+/// than this fraction of the current estimate: a single exclusion that
+/// wipes out most of what every positive constraint agreed on is far more
+/// likely to be an over-aggressive lower bound than real information (the
+/// weighted-combination rationale of §2.4).
+const MAX_NEGATIVE_REMOVAL_FRAC: f64 = 0.6;
+
+/// Boundary-simplification tolerance (km) applied to the running estimate
+/// between solver iterations. Chained boolean operations fragment ring
+/// boundaries at scanline band seams; reclaiming the (near-)collinear
+/// vertices after each applied constraint keeps the cost of subsequent
+/// operations from growing with chain length. It is far below both the
+/// 1 km curve-flattening tolerance and any constraint radius, so it never
+/// affects localization decisions.
+const SIMPLIFY_TOLERANCE_KM: f64 = 0.25;
+
+/// The estimate's representation is re-simplified with escalating tolerance
+/// whenever it exceeds this many boundary vertices (see
+/// [`octant_region::Region::simplify_to_budget`]).
+const MAX_ESTIMATE_VERTICES: usize = 4096;
 
 /// Bookkeeping of what the solver did — how many constraints were applied and
 /// how many were skipped as inconsistent.
@@ -176,7 +169,7 @@ impl Solver {
         // the whole combination), then fold in the remaining constraints in
         // decreasing weight order, setting aside any that would shrink the
         // estimate below the size threshold.
-        let simplify_tol = self.config.simplify_tolerance_km;
+        let simplify_tol = octant_geo::units::Distance::from_km(SIMPLIFY_TOLERANCE_KM);
         let mut estimate = GeoRegion::world(projection);
         let mut seeded = false;
         let mut pending: Vec<(usize, &Constraint)> = Vec::with_capacity(positives.len());
@@ -222,7 +215,6 @@ impl Solver {
         // last-ulp rounding, ~12 orders of magnitude below the area
         // threshold — so decision identity is pinned empirically by the
         // parity goldens rather than holding bit-for-bit by construction.
-        let max_vertices = self.config.max_estimate_vertices;
         if seeded {
             let mut idx = 0;
             let mut chunk = 4usize;
@@ -241,10 +233,9 @@ impl Solver {
                             applied[i] = true;
                         }
                         let _simplify = octant_telemetry::span("solver.simplify");
-                        estimate = combined.into_geo_region().simplify_to_budget(
-                            octant_geo::units::Distance::from_km(simplify_tol),
-                            max_vertices,
-                        );
+                        estimate = combined
+                            .into_geo_region()
+                            .simplify_to_budget(simplify_tol, MAX_ESTIMATE_VERTICES);
                         true
                     } else {
                         false
@@ -262,10 +253,8 @@ impl Solver {
                         let candidate = estimate.intersect(&c.region);
                         if candidate.area_km2() >= self.config.min_region_area_km2 {
                             let _simplify = octant_telemetry::span("solver.simplify");
-                            estimate = candidate.simplify_to_budget(
-                                octant_geo::units::Distance::from_km(simplify_tol),
-                                max_vertices,
-                            );
+                            estimate =
+                                candidate.simplify_to_budget(simplify_tol, MAX_ESTIMATE_VERTICES);
                             report.applied_positive += 1;
                             applied[i] = true;
                         } else {
@@ -282,14 +271,10 @@ impl Solver {
         let _subtract = octant_telemetry::span("solver.subtract");
         for &(i, c) in &negatives {
             let candidate = estimate.subtract(&c.region);
-            let floor = (estimate.area_km2()
-                * (1.0 - self.config.max_negative_removal_frac.clamp(0.0, 1.0)))
-            .max(self.config.min_region_area_km2);
+            let floor = (estimate.area_km2() * (1.0 - MAX_NEGATIVE_REMOVAL_FRAC))
+                .max(self.config.min_region_area_km2);
             if candidate.area_km2() >= floor {
-                estimate = candidate.simplify_to_budget(
-                    octant_geo::units::Distance::from_km(simplify_tol),
-                    max_vertices,
-                );
+                estimate = candidate.simplify_to_budget(simplify_tol, MAX_ESTIMATE_VERTICES);
                 report.applied_negative += 1;
                 applied[i] = true;
             } else {
@@ -425,10 +410,7 @@ mod tests {
 
     #[test]
     fn min_area_threshold_is_respected() {
-        let solver = Solver::new(SolverConfig {
-            min_region_area_km2: 1_000_000.0,
-            ..SolverConfig::default()
-        });
+        let solver = Solver::new(SolverConfig::default().with_min_region_area_km2(1_000_000.0));
         let constraints = vec![
             Constraint::positive(disk_at("nyc", 600.0), 0.9, "nyc"),
             // Applying this would leave less than the (huge) minimum area.

@@ -5,7 +5,7 @@
 //! can be carried out on the flattened boundary without losing the
 //! representational generality the paper needs (non-convex, disconnected
 //! regions). This module provides the curve type, adaptive flattening and the
-//! standard constructions (lines, circular arcs, full circles).
+//! constructions constraint disks need (quarter arcs and full circles).
 
 use crate::ring::Ring;
 use crate::vec2::Vec2;
@@ -36,12 +36,6 @@ impl CubicBezier {
         CubicBezier { p0, p1, p2, p3 }
     }
 
-    /// A straight line from `a` to `b`, expressed as a cubic segment
-    /// (control points at the third points of the chord).
-    pub fn line(a: Vec2, b: Vec2) -> Self {
-        CubicBezier::new(a, a.lerp(b, 1.0 / 3.0), a.lerp(b, 2.0 / 3.0), b)
-    }
-
     /// Evaluates the curve at parameter `t ∈ [0, 1]`.
     pub fn eval(&self, t: f64) -> Vec2 {
         let t = t.clamp(0.0, 1.0);
@@ -52,15 +46,6 @@ impl CubicBezier {
             + self.p1 * (3.0 * mt2 * t)
             + self.p2 * (3.0 * mt * t2)
             + self.p3 * (t2 * t)
-    }
-
-    /// The derivative (velocity) at parameter `t`.
-    pub fn derivative(&self, t: f64) -> Vec2 {
-        let t = t.clamp(0.0, 1.0);
-        let mt = 1.0 - t;
-        (self.p1 - self.p0) * (3.0 * mt * mt)
-            + (self.p2 - self.p1) * (6.0 * mt * t)
-            + (self.p3 - self.p2) * (3.0 * t * t)
     }
 
     /// Splits the curve at `t` into two sub-curves using de Casteljau's
@@ -77,15 +62,6 @@ impl CubicBezier {
             CubicBezier::new(self.p0, p01, p012, mid),
             CubicBezier::new(mid, p123, p23, self.p3),
         )
-    }
-
-    /// Axis-aligned bounding box of the control polygon (a conservative
-    /// bounding box of the curve, since the curve lies in the convex hull of
-    /// its control points).
-    pub fn control_bbox(&self) -> (Vec2, Vec2) {
-        let min = self.p0.min(self.p1).min(self.p2).min(self.p3);
-        let max = self.p0.max(self.p1).max(self.p2).max(self.p3);
-        (min, max)
     }
 
     /// Maximum distance from the control points `p1`, `p2` to the chord
@@ -111,13 +87,6 @@ impl CubicBezier {
         let (a, b) = self.split(0.5);
         a.flatten_rec(tolerance, out, depth + 1);
         b.flatten_rec(tolerance, out, depth + 1);
-    }
-
-    /// Approximate arc length, computed on the flattened polyline.
-    pub fn arc_length(&self, tolerance: f64) -> f64 {
-        let mut pts = vec![self.p0];
-        self.flatten_into(tolerance, &mut pts);
-        pts.windows(2).map(|w| w[0].distance(w[1])).sum()
     }
 
     /// A quarter-circle arc (90°, counter-clockwise) of radius `r` around
@@ -188,17 +157,6 @@ impl BezierLoop {
         ])
     }
 
-    /// A loop made of straight segments through `points` (closed back to the
-    /// first point).
-    pub fn polygon(points: &[Vec2]) -> Self {
-        let n = points.len();
-        let mut segments = Vec::with_capacity(n);
-        for i in 0..n {
-            segments.push(CubicBezier::line(points[i], points[(i + 1) % n]));
-        }
-        BezierLoop::new(segments)
-    }
-
     /// Flattens the loop into a closed polygon ([`Ring`]) with the given
     /// tolerance in km.
     pub fn flatten(&self, tolerance: f64) -> Ring {
@@ -221,17 +179,6 @@ impl BezierLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn line_segment_evaluates_linearly() {
-        let l = CubicBezier::line(Vec2::new(0.0, 0.0), Vec2::new(10.0, 10.0));
-        for i in 0..=10 {
-            let t = i as f64 / 10.0;
-            let p = l.eval(t);
-            assert!((p.x - 10.0 * t).abs() < 1e-9);
-            assert!((p.y - 10.0 * t).abs() < 1e-9);
-        }
-    }
 
     #[test]
     fn eval_endpoints_match_control_points() {
@@ -311,20 +258,6 @@ mod tests {
     }
 
     #[test]
-    fn polygon_loop_round_trips_points() {
-        let pts = vec![
-            Vec2::new(0.0, 0.0),
-            Vec2::new(10.0, 0.0),
-            Vec2::new(10.0, 10.0),
-            Vec2::new(0.0, 10.0),
-        ];
-        let l = BezierLoop::polygon(&pts);
-        assert!(l.is_closed(1e-9));
-        let ring = l.flatten(0.01);
-        assert!((ring.area() - 100.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn degenerate_loops() {
         let empty = BezierLoop::new(vec![]);
         assert!(empty.is_empty());
@@ -334,36 +267,5 @@ mod tests {
         let zero_circle = BezierLoop::circle(Vec2::ZERO, 0.0);
         let r = zero_circle.flatten(1.0);
         assert!(r.area() < 1e-9);
-    }
-
-    #[test]
-    fn derivative_points_along_the_curve() {
-        let l = CubicBezier::line(Vec2::new(0.0, 0.0), Vec2::new(10.0, 0.0));
-        let d = l.derivative(0.5);
-        assert!(d.x > 0.0 && d.y.abs() < 1e-12);
-    }
-
-    #[test]
-    fn arc_length_of_quarter_circle() {
-        let arc = CubicBezier::quarter_arc(Vec2::ZERO, 100.0, 0.0);
-        let len = arc.arc_length(0.01);
-        let truth = std::f64::consts::FRAC_PI_2 * 100.0;
-        assert!((len - truth).abs() / truth < 0.002, "len {len} vs {truth}");
-    }
-
-    #[test]
-    fn control_bbox_contains_curve_samples() {
-        let c = CubicBezier::new(
-            Vec2::new(0.0, 0.0),
-            Vec2::new(-5.0, 20.0),
-            Vec2::new(15.0, -10.0),
-            Vec2::new(10.0, 5.0),
-        );
-        let (min, max) = c.control_bbox();
-        for i in 0..=20 {
-            let p = c.eval(i as f64 / 20.0);
-            assert!(p.x >= min.x - 1e-9 && p.x <= max.x + 1e-9);
-            assert!(p.y >= min.y - 1e-9 && p.y <= max.y + 1e-9);
-        }
     }
 }

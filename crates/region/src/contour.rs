@@ -28,17 +28,19 @@ use std::collections::HashMap;
 
 /// Endpoint-matching quantum (km). Matches the vertical-merge key of the
 /// trapezoid compactor: comfortably above float noise on evaluated
-/// corners, far below any real geometric feature.
-const QUANTUM: f64 = 1e-6;
+/// corners and computed intersection points, far below any real geometric
+/// feature.
+pub(crate) const QUANTUM: f64 = 1e-6;
 
 /// A directed boundary edge (interior to the left).
 #[derive(Debug, Clone, Copy)]
-struct Edge {
-    a: Vec2,
-    b: Vec2,
+pub(crate) struct Edge {
+    pub(crate) a: Vec2,
+    pub(crate) b: Vec2,
 }
 
-fn key(p: Vec2) -> (i64, i64) {
+/// The quantized matching key of an endpoint.
+pub(crate) fn key(p: Vec2) -> (i64, i64) {
     (
         (p.x / QUANTUM).round() as i64,
         (p.y / QUANTUM).round() as i64,
@@ -103,8 +105,16 @@ pub(crate) fn extract_contours(banded: &BandedRegion) -> Option<Vec<Ring>> {
             }
         }
     }
+    stitch(&edges)
+}
 
-    // Index edges by the quantized key of their start point.
+/// Stitches directed edges into closed rings by walking quantized endpoint
+/// keys, resolving junctions with the most-clockwise continuation (which
+/// traces each face separately instead of producing self-crossing
+/// figure-eights). Interior stays to the left throughout, so outputs keep
+/// the CCW-outer/CW-hole orientation convention. `None` when any chain
+/// fails to close.
+pub(crate) fn stitch(edges: &[Edge]) -> Option<Vec<Ring>> {
     let mut by_start: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
     for (i, e) in edges.iter().enumerate() {
         by_start.entry(key(e.a)).or_default().push(i);

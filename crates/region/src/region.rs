@@ -115,11 +115,6 @@ impl Region {
         Region::from_ring(Ring::rectangle(min, max))
     }
 
-    /// A region from a closed Bézier loop.
-    pub fn from_bezier_loop(loop_: &BezierLoop, tolerance_km: f64) -> Self {
-        Region::from_ring(loop_.flatten(tolerance_km))
-    }
-
     /// The interior-disjoint rings making up the region.
     pub fn rings(&self) -> &[Ring] {
         &self.rings

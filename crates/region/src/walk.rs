@@ -26,33 +26,16 @@
 //! falls back to the band sweep, so a walk can produce fast geometry or
 //! no geometry, never wrong geometry.
 
+use crate::contour::{key, stitch, Edge, QUANTUM};
 use crate::ring::Ring;
 use crate::vec2::Vec2;
-use std::collections::{HashMap, HashSet};
-
-/// Endpoint-matching quantum (km), matching the contour extractor's: well
-/// above float noise on computed intersection points, far below any real
-/// geometric feature.
-const QUANTUM: f64 = 1e-6;
+use std::collections::HashSet;
 
 /// Minimum surviving sub-edge length: cut points closer than this to a
 /// neighbouring cut merge into it, so every stitched edge spans more than
-/// the matching quantum and endpoint keys stay distinct.
+/// the matching quantum (the contour extractor's) and endpoint keys stay
+/// distinct.
 const MIN_EDGE: f64 = 2.0 * QUANTUM;
-
-fn key(p: Vec2) -> (i64, i64) {
-    (
-        (p.x / QUANTUM).round() as i64,
-        (p.y / QUANTUM).round() as i64,
-    )
-}
-
-/// A directed boundary edge (operand interior to the left).
-#[derive(Debug, Clone, Copy)]
-struct DirEdge {
-    a: Vec2,
-    b: Vec2,
-}
 
 /// Net signed area of a ring set: with CCW outers and CW holes this is the
 /// true covered area.
@@ -179,7 +162,7 @@ fn union_pair(a: Vec<Ring>, b: Vec<Ring>) -> Option<Vec<Ring>> {
     let a_active: Vec<bool> = a.iter().map(|r| interacts(r, &b)).collect();
     let b_active: Vec<bool> = b.iter().map(|r| interacts(r, &a)).collect();
 
-    let collect_edges = |rings: &[Ring], active: &[bool]| -> Vec<DirEdge> {
+    let collect_edges = |rings: &[Ring], active: &[bool]| -> Vec<Edge> {
         let mut out = Vec::new();
         for (r, act) in rings.iter().zip(active) {
             if !*act {
@@ -190,7 +173,7 @@ fn union_pair(a: Vec<Ring>, b: Vec<Ring>) -> Option<Vec<Ring>> {
             for i in 0..n {
                 let (p, q) = (pts[i], pts[(i + 1) % n]);
                 if p.distance(q) > 1e-12 {
-                    out.push(DirEdge { a: p, b: q });
+                    out.push(Edge { a: p, b: q });
                 }
             }
         }
@@ -232,19 +215,19 @@ fn union_pair(a: Vec<Ring>, b: Vec<Ring>) -> Option<Vec<Ring>> {
     // Split each edge at its cut parameters and keep the sub-edges whose
     // midpoints lie outside the *other* operand (even-odd over its full
     // ring set, passthrough rings included).
-    let mut kept: Vec<DirEdge> = Vec::new();
+    let mut kept: Vec<Edge> = Vec::new();
     let split_into =
-        |edges: &[DirEdge], cuts: &mut [Vec<f64>], other: &[Ring], kept: &mut Vec<DirEdge>| {
+        |edges: &[Edge], cuts: &mut [Vec<f64>], other: &[Ring], kept: &mut Vec<Edge>| {
             for (i, e) in edges.iter().enumerate() {
                 let len = e.a.distance(e.b);
                 let ts = &mut cuts[i];
                 ts.sort_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
                 let mut prev = e.a;
                 let dir = e.b - e.a;
-                let emit = |p: Vec2, q: Vec2, kept: &mut Vec<DirEdge>| {
+                let emit = |p: Vec2, q: Vec2, kept: &mut Vec<Edge>| {
                     let mid = (p + q) * 0.5;
                     if !even_odd(other, mid) {
-                        kept.push(DirEdge { a: p, b: q });
+                        kept.push(Edge { a: p, b: q });
                     }
                 };
                 for &t in ts.iter() {
@@ -299,75 +282,6 @@ fn union_pair(a: Vec<Ring>, b: Vec<Ring>) -> Option<Vec<Ring>> {
         return None;
     }
     Some(out)
-}
-
-/// Stitches kept directed sub-edges into closed rings by walking quantized
-/// endpoint keys, resolving junctions with the most-clockwise continuation
-/// (the same policy as the contour extractor: it traces each face
-/// separately instead of producing self-crossing figure-eights). Interior
-/// stays to the left throughout, so outputs keep the CCW-outer/CW-hole
-/// orientation convention. `None` when any chain fails to close.
-fn stitch(edges: &[DirEdge]) -> Option<Vec<Ring>> {
-    let mut by_start: HashMap<(i64, i64), Vec<usize>> = HashMap::new();
-    for (i, e) in edges.iter().enumerate() {
-        by_start.entry(key(e.a)).or_default().push(i);
-    }
-    let mut used = vec![false; edges.len()];
-    let mut rings: Vec<Ring> = Vec::new();
-    for start in 0..edges.len() {
-        if used[start] {
-            continue;
-        }
-        let start_key = key(edges[start].a);
-        let mut pts: Vec<Vec2> = Vec::new();
-        let mut current = start;
-        loop {
-            used[current] = true;
-            pts.push(edges[current].a);
-            if pts.len() > edges.len() + 1 {
-                return None; // Walk failed to terminate.
-            }
-            let end_key = key(edges[current].b);
-            if end_key == start_key {
-                break; // Ring closed.
-            }
-            let candidates = by_start.get(&end_key)?;
-            let dir_in = edges[current].b - edges[current].a;
-            let mut next: Option<(f64, usize)> = None;
-            for &c in candidates {
-                if used[c] {
-                    continue;
-                }
-                let turn = clockwise_turn(dir_in, edges[c].b - edges[c].a);
-                if next.map(|(best, _)| turn < best).unwrap_or(true) {
-                    next = Some((turn, c));
-                }
-            }
-            current = next?.1;
-        }
-        let ring = Ring::new(pts);
-        if ring.len() >= 3 {
-            rings.push(ring);
-        }
-    }
-    Some(rings)
-}
-
-/// The clockwise angle swept from the reverse of `dir_in` to `dir_out`, in
-/// `(0, 2π]`: the candidate with the smallest value is the most-clockwise
-/// continuation, i.e. the next edge of the face lying to the left of the
-/// incoming edge. Doubling straight back (angle ≈ 0) is mapped to a full
-/// turn so a degenerate spike is only taken as a last resort.
-fn clockwise_turn(dir_in: Vec2, dir_out: Vec2) -> f64 {
-    use std::f64::consts::TAU;
-    let reverse = (-dir_in.y).atan2(-dir_in.x);
-    let out = dir_out.y.atan2(dir_out.x);
-    let turn = (reverse - out).rem_euclid(TAU);
-    if turn < 1e-9 {
-        TAU
-    } else {
-        turn
-    }
 }
 
 #[cfg(test)]

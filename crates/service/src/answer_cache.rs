@@ -23,12 +23,12 @@
 //!   their node id ([`TargetKey::Node`]). [`crate::ShardRouter`] derives
 //!   the key from the same prefix table it routes shards by: a /24
 //!   localizes as a unit (hosts of one /24 share access infrastructure).
-//! * **evidence** — requests that disable or re-weight pipeline sources
-//!   run a different pipeline and get their own entries
-//!   ([`EvidenceKey`]); option sets are compared verbatim, so two
-//!   requests share an entry only when their adjusted pipelines are
-//!   constructed identically. Profiled requests bypass the memo entirely
-//!   (their estimates carry request-specific wall-time profiles).
+//! * **evidence** — requests that disable pipeline sources run a different
+//!   pipeline and get their own entries ([`EvidenceKey`]); source lists
+//!   are compared verbatim, so two requests share an entry only when their
+//!   adjusted pipelines are constructed identically. Profiled requests
+//!   bypass the memo entirely (their estimates carry request-specific
+//!   wall-time profiles).
 //!
 //! Against a replay-stable provider a hit is **bit-identical** to a fresh
 //! solve (pinned by `tests/ingest_parity.rs`): same epoch means same
@@ -91,15 +91,14 @@ pub enum TargetKey {
     Node(NodeId),
 }
 
-/// The canonicalized evidence selection of a request: the part of
-/// [`LocalizeOptions`] that changes which pipeline answers the request.
-/// Weight scales keep their f64 bit patterns (and their order — the
-/// adjusted pipeline is constructed from the options verbatim, so only
-/// verbatim-equal options are guaranteed the same pipeline).
+/// The evidence selection of a request: the part of [`LocalizeOptions`]
+/// that changes which pipeline answers the request. The disabled sources
+/// keep their order (the adjusted pipeline is constructed from the options
+/// verbatim, so only verbatim-equal options are guaranteed the same
+/// pipeline).
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EvidenceKey {
     disabled: Vec<SourceId>,
-    scales: Vec<(SourceId, u64)>,
 }
 
 impl EvidenceKey {
@@ -107,11 +106,6 @@ impl EvidenceKey {
     pub fn from_options(options: &LocalizeOptions) -> Self {
         EvidenceKey {
             disabled: options.disabled_sources.clone(),
-            scales: options
-                .weight_scales
-                .iter()
-                .map(|&(id, scale)| (id, scale.to_bits()))
-                .collect(),
         }
     }
 }

@@ -296,10 +296,10 @@ impl RouterEstimateSource for EpochRouterSource<'_> {
         })
     }
 
-    /// The opt-in radius-class dilation cache: with a positive
-    /// `dilation_radius_step_km`, the requested radius is rounded **up** to
-    /// the next class boundary and the dilation of the router's region —
-    /// the dominant §2.3 cost — is computed once per
+    /// The radius-class dilation cache, on by default at a 25 km step: with
+    /// a positive `dilation_radius_step_km`, the requested radius is
+    /// rounded **up** to the next class boundary and the dilation of the
+    /// router's region — the dominant §2.3 cost — is computed once per
     /// `(epoch, router, class)` and shared. All classes of one router
     /// additionally share a **banded-contour intermediate** (the region's
     /// merged outer contours, extracted once per `(epoch, router)`), so a
@@ -307,8 +307,8 @@ impl RouterEstimateSource for EpochRouterSource<'_> {
     /// instead of re-simplifying and re-offsetting the full trapezoid
     /// soup. Constraints get (slightly) looser, never tighter. Setting the
     /// step to 0 disables the cache (`None`), which keeps solves
-    /// bit-identical to the inline path; the characterized default is a
-    /// 25 km step (see [`RouterCacheConfig::dilation_radius_step_km`]).
+    /// bit-identical to the inline path (see
+    /// [`RouterCacheConfig::dilation_radius_step_km`]).
     fn dilated_region(
         &self,
         router: NodeId,

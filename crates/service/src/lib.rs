@@ -28,11 +28,13 @@
 //!   It and the router cache's levels share one epoch-keyed memo type
 //!   (get-or-compute, retirement and one capacity rule).
 //! * [`service`] (data plane) — [`ShardedService`]: N shards, each owning
-//!   its own request queue, adaptive micro-batching policy, and worker
-//!   pool, with per-request **deadlines**, bounded-queue **admission
-//!   control / load shedding**, and per-shard **latency histograms**
-//!   ([`LatencyHistogram`], [`stats`]). [`GeolocationService`] is the
-//!   shards-of-one front door, bit-identical to the pre-sharding service.
+//!   its own request queue and worker pool, with per-request
+//!   **deadlines**, bounded-queue **admission control / load shedding**,
+//!   and per-shard **latency histograms** ([`LatencyHistogram`],
+//!   [`stats`]). Workers micro-batch by a fixed policy: at most 64 targets
+//!   per batch, and below 4 pending targets a wait of up to 2 ms for
+//!   batch-mates. [`GeolocationService`] is the shards-of-one front door,
+//!   bit-identical to the pre-sharding service.
 //!
 //! The seam into `octant-core` is [`octant::RouterEstimateSource`]: the
 //! framework's recursive path consults the source instead of constructing a

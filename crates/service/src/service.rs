@@ -40,12 +40,13 @@
 //!
 //! ## Micro-batching policy (per shard)
 //!
-//! A worker that finds its shard's queue non-empty drains
-//! `min(queue_len, max_batch)` targets — under load, batches grow to the
-//! ceiling on their own. When fewer than `min_batch` targets are pending,
-//! the worker waits up to `max_wait` (measured from the oldest pending
-//! enqueue) for more to arrive before serving a small batch, trading a
-//! bounded latency bump for much better amortization under trickle load.
+//! The policy is three constants. A worker that finds its shard's queue
+//! non-empty drains up to `MAX_BATCH` (64) targets — under load, batches
+//! grow to the ceiling on their own. When fewer than `MIN_BATCH` (4)
+//! targets are pending, the worker waits up to `MAX_WAIT` (2 ms, measured
+//! from the oldest pending enqueue) for more to arrive before serving a
+//! small batch, trading a bounded latency bump for much better
+//! amortization under trickle load.
 
 use crate::answer_cache::{AnswerCache, AnswerKey, EvidenceKey};
 use crate::cache::{RouterCache, RouterCacheConfig};
@@ -81,13 +82,6 @@ pub struct ServiceConfig {
     /// serves one micro-batch at a time (the batch itself fans out over
     /// rayon).
     pub workers: usize,
-    /// Micro-batch ceiling: a worker never drains more targets than this.
-    pub max_batch: usize,
-    /// Below this many pending targets a worker waits (up to
-    /// [`ServiceConfig::max_wait`]) for more before serving.
-    pub min_batch: usize,
-    /// Longest time the oldest pending target may wait for batch-mates.
-    pub max_wait: Duration,
     /// Router sub-localization cache configuration (the dilation radius
     /// class).
     pub cache: RouterCacheConfig,
@@ -102,9 +96,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             octant: OctantConfig::default(),
             workers: 2,
-            max_batch: 64,
-            min_batch: 4,
-            max_wait: Duration::from_millis(2),
             cache: RouterCacheConfig::default(),
             shard: ShardConfig::default(),
         }
@@ -116,12 +107,6 @@ octant::config_setters!(ServiceConfig {
     with_octant: octant: OctantConfig,
     /// Sets the worker thread count per shard.
     with_workers: workers: usize,
-    /// Sets the micro-batch ceiling.
-    with_max_batch: max_batch: usize,
-    /// Sets the micro-batch floor below which workers briefly wait.
-    with_min_batch: min_batch: usize,
-    /// Sets the longest wait for batch-mates.
-    with_max_wait: max_wait: Duration,
     /// Sets the router cache configuration.
     with_cache: cache: RouterCacheConfig,
     /// Sets the data-plane shard configuration.
@@ -139,8 +124,8 @@ impl ServiceConfig {
 }
 
 /// Per-request options: evidence selection (which pipeline sources to
-/// disable or re-weight relative to the service's base pipeline) plus an
-/// optional **deadline**. The default (empty) options run the base pipeline
+/// disable relative to the service's base pipeline) plus an optional
+/// **deadline**. The default (empty) options run the base pipeline
 /// untouched with no deadline.
 ///
 /// Evidence options affect only the **target** solves of the request;
@@ -152,8 +137,6 @@ impl ServiceConfig {
 pub struct LocalizeOptions {
     /// Sources to disable for this request.
     pub disabled_sources: Vec<SourceId>,
-    /// Weight scales to apply per source for this request.
-    pub weight_scales: Vec<(SourceId, f64)>,
     /// Time budget for this request, measured from submission. Targets
     /// whose deadline expires while they wait in a shard queue resolve to
     /// [`ServeOutcome::DeadlineExceeded`] without being solved. `None` (the
@@ -172,29 +155,16 @@ pub struct LocalizeOptions {
 }
 
 impl LocalizeOptions {
-    /// `true` when the options leave the base pipeline untouched, set no
-    /// deadline, and request no profiling.
-    pub fn is_default(&self) -> bool {
-        self.evidence_is_default() && self.deadline.is_none() && !self.profiling
-    }
-
-    /// `true` when the evidence selection (sources disabled / re-weighted)
-    /// is untouched, regardless of any deadline.
+    /// `true` when the evidence selection (sources disabled) is untouched,
+    /// regardless of any deadline.
     pub fn evidence_is_default(&self) -> bool {
-        self.disabled_sources.is_empty() && self.weight_scales.is_empty()
+        self.disabled_sources.is_empty()
     }
 
     /// Disables a source for this request.
     #[must_use]
     pub fn without_source(mut self, id: SourceId) -> Self {
         self.disabled_sources.push(id);
-        self
-    }
-
-    /// Scales a source's constraint weights for this request.
-    #[must_use]
-    pub fn with_weight_scale(mut self, id: SourceId, scale: f64) -> Self {
-        self.weight_scales.push((id, scale));
         self
     }
 
@@ -219,7 +189,6 @@ impl LocalizeOptions {
     fn evidence(&self) -> LocalizeOptions {
         LocalizeOptions {
             disabled_sources: self.disabled_sources.clone(),
-            weight_scales: self.weight_scales.clone(),
             deadline: None,
             profiling: self.profiling,
         }
@@ -377,6 +346,16 @@ struct PendingTarget {
     deadline: Option<Instant>,
     enqueued_at: Instant,
 }
+
+/// Micro-batch ceiling: a worker never drains more targets than this.
+const MAX_BATCH: usize = 64;
+
+/// Below this many pending targets a worker waits (up to [`MAX_WAIT`]) for
+/// more before serving.
+const MIN_BATCH: usize = 4;
+
+/// Longest time the oldest pending target may wait for batch-mates.
+const MAX_WAIT: Duration = Duration::from_millis(2);
 
 /// Queue state behind the std mutex paired with the drain condvar.
 struct QueueState {
@@ -584,8 +563,8 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
             // estimate, and count the failure.
             let solved = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 // Per-request pipeline: the base pipeline with the
-                // request's sources disabled/re-scaled. The model and the
-                // router cache are shared untouched. Profiled requests with
+                // request's sources disabled. The model and the router
+                // cache are shared untouched. Profiled requests with
                 // default evidence reuse the base engine directly.
                 let adjusted;
                 let engine = match options.as_deref() {
@@ -597,7 +576,7 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                             self.batch
                                 .octant()
                                 .pipeline()
-                                .adjusted(&opts.disabled_sources, &opts.weight_scales),
+                                .adjusted(&opts.disabled_sources, &[]),
                         ));
                         &adjusted
                     }
@@ -713,11 +692,9 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                 .oldest_since
                 .map(|t| t.elapsed())
                 .unwrap_or(Duration::ZERO);
-            let ready = queue.shutdown
-                || queue.pending.len() >= self.config.min_batch
-                || waited >= self.config.max_wait;
+            let ready = queue.shutdown || queue.pending.len() >= MIN_BATCH || waited >= MAX_WAIT;
             if ready {
-                let n = queue.pending.len().min(self.config.max_batch);
+                let n = queue.pending.len().min(MAX_BATCH);
                 let batch: Vec<PendingTarget> = queue.pending.drain(..n).collect();
                 if queue.pending.is_empty() {
                     queue.oldest_since = None;
@@ -725,7 +702,7 @@ impl<P: ObservationProvider + Sync> ServiceInner<P> {
                 shard.metrics.queue_depth.set(queue.pending.len() as i64);
                 return Some(batch);
             }
-            let remaining = self.config.max_wait.saturating_sub(waited);
+            let remaining = MAX_WAIT.saturating_sub(waited);
             let (guard, _) = shard
                 .queue_cv
                 .wait_timeout(queue, remaining)
@@ -1230,15 +1207,9 @@ mod tests {
         let ds = dataset(10, 23).into_shared();
         let hosts = ds.host_ids();
         let (landmarks, targets) = hosts.split_at(7);
-        // A huge batching floor + long max_wait parks submissions in the
-        // queue long enough for a zero deadline to be expired at drain.
-        let service = ShardedService::start(
-            ServiceConfig::default()
-                .with_min_batch(1000)
-                .with_max_wait(Duration::from_millis(200)),
-            ds,
-            landmarks,
-        );
+        // A zero deadline has already expired by the time a worker drains
+        // the target, however promptly it does.
+        let service = ShardedService::start(ServiceConfig::default(), ds, landmarks);
         let outcomes = service.localize_blocking_with_options(
             &targets[..2],
             LocalizeOptions::default().with_deadline(Duration::ZERO),
@@ -1273,25 +1244,41 @@ mod tests {
 
     #[test]
     fn full_bounded_queue_sheds_at_admission() {
-        let ds = dataset(10, 29).into_shared();
+        let ds = dataset(11, 29);
         let hosts = ds.host_ids();
         let (landmarks, targets) = hosts.split_at(7);
-        // Workers wait for a 1000-target batch for up to 10 s, so the queue
-        // cannot drain between the two submissions below.
+        // The one worker is held inside the blocker's solve until the gate
+        // opens, so the queue cannot drain between the submissions below.
+        let blocker = targets[3];
+        let gate = Arc::new(Gate::default());
+        let provider = HookedProvider {
+            inner: ds,
+            on_ping: {
+                let gate = gate.clone();
+                move |_, to| {
+                    if to == blocker {
+                        gate.hold();
+                    }
+                }
+            },
+        };
         let service = ShardedService::start(
             ServiceConfig::default()
-                .with_min_batch(1000)
-                .with_max_wait(Duration::from_secs(10))
+                .with_workers(1)
                 .with_shard(ShardConfig::default().with_queue_capacity(2)),
-            ds,
+            provider,
             landmarks,
         );
+        let held = service.submit(&[blocker]);
+        gate.wait_entered();
         // 3 targets into a capacity-2 queue: the third is shed immediately,
-        // without blocking, while the first two sit in the parked queue.
+        // without blocking, while the first two wait behind the held worker.
         let handle = service.submit(&targets[..3]);
         let stats = service.stats();
+        gate.open();
         assert_eq!(stats.counters.shed_queue_full, 1);
         assert_eq!(stats.queue_depth_total(), 2);
+        assert!(held.wait_outcomes()[0].is_served());
         // Shutdown drains the queue, serving the two admitted targets; only
         // then does the handle resolve fully.
         service.shutdown();
@@ -1327,7 +1314,7 @@ mod tests {
         let hosts = ds.host_ids();
         let (landmarks, targets) = hosts.split_at(8);
         let service = Arc::new(GeolocationService::start(
-            ServiceConfig::default().with_workers(3).with_min_batch(2),
+            ServiceConfig::default().with_workers(3),
             ds,
             landmarks,
         ));
@@ -1488,35 +1475,24 @@ mod tests {
         service.shutdown();
     }
 
-    /// Wraps a dataset and panics on any ping involving one poisoned node.
-    struct PoisonedProvider {
+    /// Wraps a dataset and runs `on_ping(from, to)` before every ping.
+    struct HookedProvider<F> {
         inner: MeasurementDataset,
-        poison: octant_netsim::topology::NodeId,
+        on_ping: F,
     }
 
-    impl ObservationProvider for PoisonedProvider {
+    impl<F: Fn(NodeId, NodeId) + Send + Sync> ObservationProvider for HookedProvider<F> {
         fn hosts(&self) -> Vec<HostDescriptor> {
             self.inner.hosts()
         }
-        fn ping(
-            &self,
-            from: octant_netsim::topology::NodeId,
-            to: octant_netsim::topology::NodeId,
-        ) -> PingObservation {
-            assert!(
-                from != self.poison && to != self.poison,
-                "simulated measurement failure"
-            );
+        fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
+            (self.on_ping)(from, to);
             self.inner.ping(from, to)
         }
-        fn traceroute(
-            &self,
-            from: octant_netsim::topology::NodeId,
-            to: octant_netsim::topology::NodeId,
-        ) -> Vec<TracerouteHop> {
+        fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {
             self.inner.traceroute(from, to)
         }
-        fn node_by_ip(&self, ip: [u8; 4]) -> Option<octant_netsim::topology::NodeId> {
+        fn node_by_ip(&self, ip: [u8; 4]) -> Option<NodeId> {
             self.inner.node_by_ip(ip)
         }
         fn reverse_dns(&self, ip: [u8; 4]) -> Option<String> {
@@ -1525,11 +1501,44 @@ mod tests {
         fn whois_city(&self, ip: [u8; 4]) -> Option<String> {
             self.inner.whois_city(ip)
         }
-        fn advertised_location(
-            &self,
-            id: octant_netsim::topology::NodeId,
-        ) -> Option<octant_geo::GeoPoint> {
+        fn advertised_location(&self, id: NodeId) -> Option<octant_geo::GeoPoint> {
             self.inner.advertised_location(id)
+        }
+    }
+
+    /// Holds the first caller of [`Gate::hold`] until the test opens the
+    /// gate: a ping hook that holds a worker inside one target's solve
+    /// keeps the worker busy without a timer.
+    #[derive(Default)]
+    struct Gate {
+        /// `(entered, open)`.
+        state: Mutex<(bool, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn hold(&self) {
+            let mut state = self.state.lock().unwrap();
+            if state.0 {
+                return;
+            }
+            state.0 = true;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn wait_entered(&self) {
+            let mut state = self.state.lock().unwrap();
+            while !state.0 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
         }
     }
 
@@ -1539,7 +1548,15 @@ mod tests {
         let hosts = ds.host_ids();
         let (landmarks, targets) = hosts.split_at(7);
         let poison = targets[0];
-        let provider = std::sync::Arc::new(PoisonedProvider { inner: ds, poison });
+        let provider = std::sync::Arc::new(HookedProvider {
+            inner: ds,
+            on_ping: move |from, to| {
+                assert!(
+                    from != poison && to != poison,
+                    "simulated measurement failure"
+                );
+            },
+        });
         let service = GeolocationService::start(
             ServiceConfig::default().with_workers(1),
             provider,

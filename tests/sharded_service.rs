@@ -14,10 +14,14 @@
 
 use octant::{BatchGeolocator, OctantConfig, RouterLocalization};
 use octant_bench::{service_campaign, BatchCampaign};
+use octant_geo::GeoPoint;
+use octant_netsim::observation::{HostDescriptor, PingObservation, TracerouteHop};
+use octant_netsim::{MeasurementDataset, NodeId, ObservationProvider};
 use octant_service::{
     GeolocationService, LocalizeOptions, ServeOutcome, ServiceConfig, ShardConfig, ShardedService,
     ShedReason,
 };
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 fn recursive_config() -> OctantConfig {
@@ -129,33 +133,105 @@ fn routing_is_deterministic_across_traffic_and_epochs() {
     service.shutdown();
 }
 
+/// Holds the first ping to `blocker` until the test opens the gate, so a
+/// one-worker service stays busy inside the blocker's solve without a
+/// timer. Every other call passes straight through to the dataset.
+struct GatedProvider {
+    inner: MeasurementDataset,
+    blocker: NodeId,
+    /// `(entered, open)`.
+    gate: Mutex<(bool, bool)>,
+    changed: Condvar,
+}
+
+impl GatedProvider {
+    fn new(inner: MeasurementDataset, blocker: NodeId) -> Arc<Self> {
+        Arc::new(GatedProvider {
+            inner,
+            blocker,
+            gate: Mutex::new((false, false)),
+            changed: Condvar::new(),
+        })
+    }
+
+    fn wait_entered(&self) {
+        let mut gate = self.gate.lock().unwrap();
+        while !gate.0 {
+            gate = self.changed.wait(gate).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        self.gate.lock().unwrap().1 = true;
+        self.changed.notify_all();
+    }
+}
+
+impl ObservationProvider for GatedProvider {
+    fn hosts(&self) -> Vec<HostDescriptor> {
+        self.inner.hosts()
+    }
+    fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
+        if to == self.blocker {
+            let mut gate = self.gate.lock().unwrap();
+            if !gate.0 {
+                gate.0 = true;
+                self.changed.notify_all();
+                while !gate.1 {
+                    gate = self.changed.wait(gate).unwrap();
+                }
+            }
+        }
+        self.inner.ping(from, to)
+    }
+    fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {
+        self.inner.traceroute(from, to)
+    }
+    fn node_by_ip(&self, ip: [u8; 4]) -> Option<NodeId> {
+        self.inner.node_by_ip(ip)
+    }
+    fn reverse_dns(&self, ip: [u8; 4]) -> Option<String> {
+        self.inner.reverse_dns(ip)
+    }
+    fn whois_city(&self, ip: [u8; 4]) -> Option<String> {
+        self.inner.whois_city(ip)
+    }
+    fn advertised_location(&self, id: NodeId) -> Option<GeoPoint> {
+        self.inner.advertised_location(id)
+    }
+}
+
 #[test]
 fn deadlines_and_bounded_queues_shed_with_typed_outcomes() {
-    let campaign = small_campaign();
-    let provider = campaign.dataset.clone().into_shared();
-    // One shard, capacity 2, and a batching policy that parks the queue
-    // long enough (huge floor, long wait) for admission and expiry to be
-    // observable deterministically.
+    // Five targets: one holds the worker, four meet the bounded queue.
+    let campaign = service_campaign(12, 5, 1, 42);
+    let (blocker, targets) = (campaign.targets[0], &campaign.targets[1..5]);
+    let provider = GatedProvider::new(campaign.dataset.clone(), blocker);
+    // One shard with one worker and capacity 2. The worker is held inside
+    // the blocker's solve, so admission and expiry are observable
+    // deterministically.
     let service = ShardedService::start(
         ServiceConfig::default()
             .with_octant(OctantConfig::minimal())
-            .with_min_batch(10_000)
-            .with_max_wait(Duration::from_millis(250))
+            .with_workers(1)
             .with_shard(ShardConfig::default().with_queue_capacity(2)),
-        provider,
+        provider.clone(),
         &campaign.landmarks,
     );
+    let held = service.submit(&[blocker]);
+    provider.wait_entered();
 
     // 4 targets into a capacity-2 queue: exactly 2 admitted, 2 shed — and
     // the shed slots resolve immediately, before any drain.
-    let targets = &campaign.targets[..4.min(campaign.targets.len())];
     let handle = service.submit_with_options(
         targets,
         LocalizeOptions::default().with_deadline(Duration::ZERO),
     );
     let early = service.stats();
+    provider.open();
     assert_eq!(early.counters.shed_queue_full, 2);
     assert_eq!(early.queue_depth_total(), 2);
+    assert!(held.wait_outcomes()[0].is_served());
 
     let outcomes = handle.wait_outcomes();
     let shed = outcomes
@@ -183,9 +259,12 @@ fn deadlines_and_bounded_queues_shed_with_typed_outcomes() {
     assert_eq!(stats.counters.shed_queue_full, 2);
     assert_eq!(stats.counters.deadline_expired, 2);
     assert_eq!(stats.counters.shed(), 4);
-    assert_eq!(stats.counters.targets_served, 0, "nothing was solved");
-    assert_eq!(stats.latency.count, 0, "only serves record latency");
-    assert!((stats.shed_rate() - 1.0).abs() < 1e-12);
+    assert_eq!(
+        stats.counters.targets_served, 1,
+        "only the blocker was solved"
+    );
+    assert_eq!(stats.latency.count, 1, "only serves record latency");
+    assert!((stats.shed_rate() - 0.8).abs() < 1e-12);
     service.shutdown();
 }
 
