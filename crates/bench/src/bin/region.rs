@@ -20,7 +20,10 @@
 //!   classes (60 / 300 / 900 km) — the fast dispatch (`Region::dilate`)
 //!   against the capsule reference (`Region::dilate_reference`);
 //! * the landmass-style union of disjoint outlines — `Region::union_many`
-//!   against the chained pairwise fold.
+//!   against the chained pairwise fold;
+//! * **disk construction** (`Region::disk`: Bézier flattening, ring
+//!   cleaning, convexity) at three constraint radii (60 / 1,000 /
+//!   6,000 km), in nanoseconds per output vertex.
 //!
 //! Run with `cargo run --release -p octant-bench --bin region`. Flags:
 //! * `--smoke` — reduced iteration counts (CI's bench-smoke job).
@@ -217,6 +220,25 @@ fn main() {
     summary.push("union7_chained_ops_per_sec", union_chained_ops);
     summary.push("union7_nary_ops_per_sec", union_nary_ops);
     summary.push("union7_speedup", union_nary_ops / union_chained_ops);
+
+    // ---- Disk construction at three constraint radii -----------------------
+    // Every solve builds one disk per landmark measurement, so the cost per
+    // flattened vertex is the unit the flattening and cleaning paths are
+    // judged by.
+    let builds = if smoke { 2_000 } else { 20_000 };
+    for radius in [60.0f64, 1_000.0, 6_000.0] {
+        let center = Vec2::new(120.0, -80.0);
+        let vertices = Region::disk(center, radius).vertex_count();
+        let start = Instant::now();
+        for _ in 0..builds {
+            std::hint::black_box(Region::disk(std::hint::black_box(center), radius));
+        }
+        let ns_per_vertex = start.elapsed().as_nanos() as f64 / (builds * vertices) as f64;
+        let label = format!("disk_r{radius:.0}");
+        println!("# {label:<20}: {ns_per_vertex:>10.1} ns/vertex  ({vertices} vertices)");
+        summary.push(format!("{label}_ns_per_vertex"), ns_per_vertex);
+        summary.push(format!("{label}_vertices"), vertices as f64);
+    }
 
     // ---- Walk tallies over the whole bench run -----------------------------
     // Thread-cumulative counters: how the intersection-walking dilation

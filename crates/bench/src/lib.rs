@@ -629,6 +629,12 @@ impl BenchSummary {
 ///   "dilate_r60_ops_per_sec": 880.0,
 ///   "dilate_r60_reference_ops_per_sec": 95.0,
 ///   "dilate_r60_speedup": 9.3,
+///   "disk_r60_ns_per_vertex": 40.0,            // Region::disk build time
+///   "disk_r60_vertices": 32,                   // per flattened vertex, and
+///   "disk_r1000_ns_per_vertex": 35.0,          // the vertex count, at 60,
+///   "disk_r1000_vertices": 128,                // 1,000 and 6,000 km radii
+///   "disk_r6000_ns_per_vertex": 35.0,
+///   "disk_r6000_vertices": 256,
 ///   "walk_unions": 64,                         // intersection-walk dilation
 ///   "walk_fallbacks": 2,                       // merges vs sweep fallbacks
 ///   ...

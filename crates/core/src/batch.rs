@@ -15,9 +15,10 @@
 //!   target-independent state once in a [`LandmarkModel`]; every target in
 //!   the batch reuses it (the cache-regression test in
 //!   `tests/batch_cache.rs` pins the "exactly `L + 1` hull builds per
-//!   batch" property — which holds when no target is itself a landmark and
-//!   router localization is not `Recursive`; both of those paths
-//!   legitimately build extra models per target).
+//!   batch" property — which holds when no target is itself a landmark;
+//!   such a target takes the leave-one-out path, which prepares a model
+//!   excluding it). `Recursive` router sub-solves reuse the batch's model
+//!   too.
 //! * **Parallel fan-out** — targets are localized on a rayon parallel
 //!   iterator with worker-local [`TargetScratch`] buffers (`map_init`), so
 //!   per-target allocations are amortized across each worker's whole chunk.

@@ -628,6 +628,15 @@ impl Octant {
     /// router and WHOIS evidence disabled via the config), independent of
     /// the parent's pipeline: router estimates are shared across requests,
     /// so they must not depend on per-request source selections.
+    ///
+    /// A sub-solve reads `model` itself — its heights and calibrations —
+    /// rather than preparing the landmarks again: a router is not one of
+    /// the landmarks, so a fresh preparation would rebuild this very model
+    /// from the same measurements. Under a serving epoch, sub-solves
+    /// therefore read the epoch's calibration snapshot, like the target
+    /// solves they serve, while the router's own RTTs still come from
+    /// `provider`. A router that is one of the model's landmarks takes the
+    /// leave-one-out path, which prepares a model excluding it.
     pub fn compute_router_estimate(
         &self,
         provider: &dyn ObservationProvider,
@@ -639,7 +648,12 @@ impl Octant {
             use_whois: false,
             ..self.config
         });
-        let est = sub.localize_node(provider, &model.lm_ids, router, false);
+        let est = if model.contains_landmark(router) {
+            sub.localize_node(provider, &model.lm_ids, router, false)
+        } else {
+            let mut scratch = TargetScratch::default();
+            sub.localize_prepared(provider, model, router, false, None, &mut scratch)
+        };
         RouterEstimate {
             region: est.region,
             point: est.point,

@@ -389,8 +389,11 @@ impl GridTerms {
 /// residual is closest to the pure queuing component.
 fn cost_of(residuals: &mut [f64]) -> (f64, f64) {
     // The full sort, not a selection: the cost below is summed in sorted
-    // order, and that order fixes its rounding.
-    residuals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+    // order, and that order fixes its rounding. An unstable sort leaves the
+    // same sequence: keys that compare equal are bit-equal or ±0.0, and
+    // either zero squares to +0.0 in the sum and clamps to +0.0 as the
+    // height.
+    residuals.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
     let q25 = residuals[(residuals.len() - 1) / 4];
     let height = q25.max(0.0);
     let cost = residuals

@@ -15,6 +15,7 @@ use octant_geo::point::GeoPoint;
 use octant_geo::units::Latency;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// A host in a recorded campaign, with its ground-truth location retained for
 /// evaluation.
@@ -32,14 +33,82 @@ pub struct DatasetHost {
 pub struct MeasurementDataset {
     /// The participating hosts.
     pub hosts: Vec<DatasetHost>,
-    pub(crate) pings: HashMap<(NodeId, NodeId), PingObservation>,
+    pub(crate) pings: HashMap<(NodeId, NodeId), RecordedPing, BuildHasherDefault<PairHasher>>,
     pub(crate) traceroutes: HashMap<(NodeId, NodeId), Vec<TracerouteHop>>,
     pub(crate) dns: HashMap<[u8; 4], String>,
     pub(crate) whois: HashMap<[u8; 4], String>,
     pub(crate) ip_to_node: HashMap<[u8; 4], NodeId>,
 }
 
+/// A recorded ping observation: its samples beside their minimum RTT, which
+/// is taken once when the observation is recorded. Octant asks for the
+/// minimum of every landmark pair of every prepare and of every
+/// landmark-target pair of every solve, so [`MeasurementDataset::min_rtt`]
+/// answers from here without scanning the samples. Boxing the samples
+/// keeps an entry at three words, the size of a bare [`PingObservation`].
+#[derive(Debug, Clone)]
+pub(crate) struct RecordedPing {
+    samples: Box<[Latency]>,
+    /// `PingObservation::min` of the samples; unused when there are none.
+    min: Latency,
+}
+
+impl RecordedPing {
+    pub(crate) fn new(observation: PingObservation) -> Self {
+        let min = observation.min().unwrap_or(Latency::ZERO);
+        RecordedPing {
+            samples: observation.samples.into_boxed_slice(),
+            min,
+        }
+    }
+
+    /// A copy of the recorded observation.
+    pub(crate) fn observation(&self) -> PingObservation {
+        PingObservation::new(self.samples.to_vec())
+    }
+
+    /// The observation's minimum RTT, `None` when no probe was answered.
+    fn min(&self) -> Option<Latency> {
+        (!self.samples.is_empty()).then_some(self.min)
+    }
+}
+
+/// A multiply-xor hasher for the `(NodeId, NodeId)` keys of the ping map.
+/// A key hashes as its two ids packed into one word, multiplied by an odd
+/// constant, with the high half folded into the low half (the table picks
+/// buckets from the low bits). The hash only places entries in buckets,
+/// and lookups compare whole keys, so it changes no answer; SipHash was a
+/// measurable part of every `min_rtt` call. The keys are node ids the
+/// network assigns, not input an adversary picks, so there are no crafted
+/// collisions for SipHash to resist.
+#[derive(Default)]
+pub(crate) struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u32(&mut self, v: u32) {
+        self.0 = self.0.rotate_left(32) ^ u64::from(v);
+    }
+}
+
 impl MeasurementDataset {
+    /// Records the ping observation of `(from, to)`, replacing any earlier
+    /// one.
+    pub(crate) fn insert_ping(&mut self, from: NodeId, to: NodeId, observation: PingObservation) {
+        self.pings
+            .insert((from, to), RecordedPing::new(observation));
+    }
+
     /// Captures a full campaign: pairwise pings between all hosts, pairwise
     /// traceroutes, pings from each host to every router its traceroutes
     /// encountered, and DNS/WHOIS lookups for everything seen.
@@ -69,7 +138,7 @@ impl MeasurementDataset {
                 if a.id == b.id {
                     continue;
                 }
-                ds.pings.insert((a.id, b.id), provider.ping(a.id, b.id));
+                ds.insert_ping(a.id, b.id, provider.ping(a.id, b.id));
                 let hops = provider.traceroute(a.id, b.id);
                 for hop in &hops {
                     ds.ip_to_node.insert(hop.ip, hop.node);
@@ -81,7 +150,7 @@ impl MeasurementDataset {
                     // as collected in the paper's evaluation.
                     ds.pings
                         .entry((a.id, hop.node))
-                        .or_insert_with(|| provider.ping(a.id, hop.node));
+                        .or_insert_with(|| RecordedPing::new(provider.ping(a.id, hop.node)));
                 }
                 ds.traceroutes.insert((a.id, b.id), hops);
             }
@@ -130,11 +199,14 @@ impl ObservationProvider for MeasurementDataset {
     }
 
     fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
-        self.pings.get(&(from, to)).cloned().unwrap_or_default()
+        self.pings
+            .get(&(from, to))
+            .map(RecordedPing::observation)
+            .unwrap_or_default()
     }
 
     fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
-        self.pings.get(&(from, to)).and_then(PingObservation::min)
+        self.pings.get(&(from, to)).and_then(RecordedPing::min)
     }
 
     fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {

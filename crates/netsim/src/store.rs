@@ -151,11 +151,11 @@ impl ObservationRecord {
                 seq,
             });
         }
-        for (&(from, to), observation) in &dataset.pings {
+        for (&(from, to), recorded) in &dataset.pings {
             records.push(ObservationRecord::Ping {
                 from,
                 to,
-                observation: observation.clone(),
+                observation: recorded.observation(),
                 seq,
             });
         }
@@ -581,13 +581,13 @@ impl ObservationStore {
             let e = inner
                 .ping_lookup(key_entry.from, key_entry.to)
                 .expect("indexed key resolves");
-            ds.pings.insert((e.from, e.to), e.observation.clone());
+            ds.insert_ping(e.from, e.to, e.observation.clone());
         }
         for e in &inner.ping_buffer {
             let w = inner
                 .ping_lookup(e.from, e.to)
                 .expect("buffered key resolves");
-            ds.pings.insert((w.from, w.to), w.observation.clone());
+            ds.insert_ping(w.from, w.to, w.observation.clone());
         }
         for key_entry in &inner.trace_index {
             let e = inner

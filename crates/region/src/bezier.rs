@@ -8,14 +8,19 @@
 //! constructions constraint disks need (quarter arcs and full circles).
 
 use crate::ring::Ring;
-use crate::vec2::Vec2;
+use crate::vec2::{order_from_squares, Vec2};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The magic constant for approximating a quarter circle with a cubic Bézier
 /// segment: `4/3 · (√2 − 1)`. The maximum radial error of the approximation
 /// is ~0.027% of the radius, i.e. ~270 m for a 1000 km constraint disk —
 /// negligible at Octant's scale.
 pub const KAPPA: f64 = 0.552_284_749_830_793_4;
+
+/// The subdivision depth at which flattening emits a sub-curve's end point
+/// whatever its flatness.
+const MAX_FLATTEN_DEPTH: u32 = 18;
 
 /// A cubic Bézier segment defined by four control points.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -67,26 +72,59 @@ impl CubicBezier {
     /// Maximum distance from the control points `p1`, `p2` to the chord
     /// `p0→p3`; a standard flatness measure.
     pub fn flatness(&self) -> f64 {
-        let d1 = self.p1.distance_to_segment(self.p0, self.p3);
-        let d2 = self.p2.distance_to_segment(self.p0, self.p3);
-        d1.max(d2)
+        let d1 = self.p1.offset_from_segment(self.p0, self.p3);
+        let d2 = self.p2.offset_from_segment(self.p0, self.p3);
+        d1.length().max(d2.length())
+    }
+
+    /// `self.flatness() <= tolerance`, decided from the squared distances
+    /// where they clear the squared tolerance ([`order_from_squares`]). The
+    /// second control point is not measured when the first already decides
+    /// against flatness.
+    fn is_flat(&self, tolerance: f64) -> bool {
+        let tolerance_sq = tolerance * tolerance;
+        let d1 = self.p1.offset_from_segment(self.p0, self.p3);
+        let first = order_from_squares(d1.length_squared(), tolerance_sq);
+        if first == Some(Ordering::Greater) {
+            return false;
+        }
+        let d2 = self.p2.offset_from_segment(self.p0, self.p3);
+        match (first, order_from_squares(d2.length_squared(), tolerance_sq)) {
+            (_, Some(Ordering::Greater)) => false,
+            (Some(Ordering::Less), Some(Ordering::Less)) => true,
+            _ => self.flatness() <= tolerance,
+        }
     }
 
     /// Appends a polyline approximation of the curve to `out` (excluding the
     /// start point, including the end point), subdividing until the flatness
     /// measure drops below `tolerance`.
+    ///
+    /// The curve is halved (`split(0.5)`) until each piece is flat or 18
+    /// halvings deep, and each piece's end point is emitted in curve order.
+    /// The walk is depth-first, left half first, with the right halves
+    /// still to visit on a fixed stack, one per depth at most.
     pub fn flatten_into(&self, tolerance: f64, out: &mut Vec<Vec2>) {
-        self.flatten_rec(tolerance.max(1e-6), out, 0);
-    }
-
-    fn flatten_rec(&self, tolerance: f64, out: &mut Vec<Vec2>, depth: u32) {
-        if self.flatness() <= tolerance || depth >= 18 {
-            out.push(self.p3);
-            return;
+        let tolerance = tolerance.max(1e-6);
+        let mut pending = [(*self, 0u32); MAX_FLATTEN_DEPTH as usize];
+        let mut pending_len = 0;
+        let (mut curve, mut depth) = (*self, 0);
+        loop {
+            if depth >= MAX_FLATTEN_DEPTH || curve.is_flat(tolerance) {
+                out.push(curve.p3);
+                if pending_len == 0 {
+                    return;
+                }
+                pending_len -= 1;
+                (curve, depth) = pending[pending_len];
+            } else {
+                let (left, right) = curve.split(0.5);
+                depth += 1;
+                pending[pending_len] = (right, depth);
+                pending_len += 1;
+                curve = left;
+            }
         }
-        let (a, b) = self.split(0.5);
-        a.flatten_rec(tolerance, out, depth + 1);
-        b.flatten_rec(tolerance, out, depth + 1);
     }
 
     /// A quarter-circle arc (90°, counter-clockwise) of radius `r` around
@@ -169,8 +207,13 @@ impl BezierLoop {
         }
         // The last point closes back onto the first; Ring treats the polygon
         // as implicitly closed, so drop the duplicate.
-        if pts.len() > 1 && pts[0].distance(*pts.last().unwrap()) < 1e-9 {
-            pts.pop();
+        if let [first, .., last] = pts[..] {
+            let gap = first - last;
+            if order_from_squares(gap.length_squared(), 1e-9 * 1e-9)
+                .map_or_else(|| gap.length() < 1e-9, Ordering::is_lt)
+            {
+                pts.pop();
+            }
         }
         Ring::new(pts)
     }
@@ -179,6 +222,95 @@ impl BezierLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The recursive flattening with the hypot flatness test: the oracle
+    /// [`CubicBezier::flatten_into`] must match bit for bit.
+    fn flatten_reference(curve: &CubicBezier, tolerance: f64, out: &mut Vec<Vec2>, depth: u32) {
+        if curve.flatness() <= tolerance || depth >= MAX_FLATTEN_DEPTH {
+            out.push(curve.p3);
+            return;
+        }
+        let (a, b) = curve.split(0.5);
+        flatten_reference(&a, tolerance, out, depth + 1);
+        flatten_reference(&b, tolerance, out, depth + 1);
+    }
+
+    /// Flattens `curve` both ways and asserts equal vertex bits; returns
+    /// the vertex count.
+    fn assert_flattens_like_reference(curve: &CubicBezier, tolerance: f64) -> usize {
+        let mut fast = Vec::new();
+        curve.flatten_into(tolerance, &mut fast);
+        let mut reference = Vec::new();
+        flatten_reference(curve, tolerance.max(1e-6), &mut reference, 0);
+        let bits = |pts: &[Vec2]| -> Vec<(u64, u64)> {
+            pts.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+        };
+        assert_eq!(bits(&fast), bits(&reference), "{curve:?} at {tolerance:e}");
+        fast.len()
+    }
+
+    #[test]
+    fn flattening_matches_the_recursive_hypot_reference() {
+        let mut rng = StdRng::seed_from_u64(0x00be_71e5);
+        let mut vertices = 0;
+        for _ in 0..96 {
+            let radius = 0.5 * 40_000f64.powf(rng.gen::<f64>());
+            let center = Vec2::new(rng.gen_range(-2e4..2e4), rng.gen_range(-2e4..2e4));
+            let tolerance = 1e-6 * 1e7f64.powf(rng.gen::<f64>());
+            for segment in BezierLoop::circle(center, radius).segments() {
+                vertices += assert_flattens_like_reference(segment, tolerance);
+            }
+        }
+        assert!(vertices > 10_000, "only {vertices} vertices");
+        // Tolerances right at the flatness of a sub-curve: the squared
+        // test is undecided there and must fall back to the same answer.
+        let arc = CubicBezier::quarter_arc(Vec2::new(1234.5, -678.25), 800.0, 0.3);
+        let (left, _) = arc.split(0.5);
+        for curve in [arc, left] {
+            let flatness = curve.flatness();
+            for ulps in -4i64..=4 {
+                let tolerance = f64::from_bits((flatness.to_bits() as i64 + ulps) as u64);
+                assert_flattens_like_reference(&curve, tolerance);
+            }
+        }
+    }
+
+    #[test]
+    fn flattening_keeps_the_depth_cap_and_zero_length_chords() {
+        // A radius no 18 halvings flatten to 10⁻⁶ km: every leaf sits at
+        // the depth cap.
+        let huge = CubicBezier::quarter_arc(Vec2::new(5.0, -3.0), 1e7, 0.1);
+        assert_eq!(
+            assert_flattens_like_reference(&huge, 1e-6),
+            1 << MAX_FLATTEN_DEPTH
+        );
+        // Non-finite control points are never flat.
+        let broken = CubicBezier::new(
+            Vec2::ZERO,
+            Vec2::new(f64::NAN, 1.0),
+            Vec2::new(2.0, 1.0),
+            Vec2::new(3.0, 0.0),
+        );
+        assert_flattens_like_reference(&broken, 1.0);
+        // Closed loops (p0 == p3) measure flatness as distance to p0.
+        let p = Vec2::new(-15_000.0, 12_000.0);
+        for (d1, d2) in [
+            (Vec2::new(40.0, 25.0), Vec2::new(-30.0, 45.0)),
+            (Vec2::new(1e-7, 0.0), Vec2::new(0.0, -1e-7)),
+            (Vec2::ZERO, Vec2::ZERO),
+        ] {
+            let closed = CubicBezier::new(p, p + d1, p + d2, p);
+            for tolerance in [1e-6, 1e-3, 0.5, 10.0] {
+                assert_flattens_like_reference(&closed, tolerance);
+            }
+        }
+        // A zero-radius circle: every curve is one repeated point.
+        for segment in BezierLoop::circle(p, 0.0).segments() {
+            assert_eq!(assert_flattens_like_reference(segment, 1.0), 1);
+        }
+    }
 
     #[test]
     fn eval_endpoints_match_control_points() {

@@ -42,7 +42,7 @@
 //!
 //! ## Performance machinery
 //!
-//! The solver-facing hot paths are engineered around seven mechanisms
+//! The solver-facing hot paths are engineered around eight mechanisms
 //! (pinned by `tests/region_algebra.rs` / `tests/region_fastpath_parity.rs`
 //! and measured by `octant-bench`'s `region` binary):
 //!
@@ -114,6 +114,22 @@
 //!   chained operations accumulate at band seams, so representation size
 //!   (and with it the cost of the next operation) stays bounded across a
 //!   solve.
+//! * **Squared distance tests** — the distance-against-a-threshold tests
+//!   of the construction and sweep paths (Bézier flatness,
+//!   [`Ring::new`]'s duplicate-vertex test, [`Ring::simplified`]'s
+//!   collinearity and tolerance tests, the sweep's zero-length-segment
+//!   test and trapezoid compaction's collinearity test) are decided from
+//!   squared lengths whenever those clear the squared threshold by a
+//!   relative 10⁻⁹, and by their `f64::hypot` expression otherwise. The
+//!   margin is ten million times the rounding error of either form, so
+//!   every decision, and with it every output bit, is the hypot form's;
+//!   the error argument sits on the one helper in `vec2.rs` that all of
+//!   them call. Flattening walks its halving tree with a fixed stack.
+//!   `hypot` still runs where a length is a value rather than a decision:
+//!   [`Vec2::length`] and [`Vec2::distance`] themselves, perimeters,
+//!   boundary distances, dilation tolerances, the intersection walk's edge
+//!   tests, and every test too close to its threshold to call from the
+//!   squares.
 //!
 //! ### Dilation float-stream policy
 //!

@@ -98,7 +98,9 @@ fn radial_bounds(ring: &Ring) -> Option<Radial> {
     for (i, &a) in points.iter().enumerate() {
         outer_sq = outer_sq.max((a - center).length_squared());
         let edge = points[(i + 1) % points.len()] - a;
-        let length = edge.length();
+        // `sqrt` of the squared length, not `hypot`: the two differ by a
+        // few ulps, far under the margin the inner radius is moved by.
+        let length = edge.length_squared().sqrt();
         if length > 0.0 {
             inner = inner.min(side * edge.cross(center - a) / length);
         }

@@ -5,8 +5,9 @@
 //! as an ordered vertex list (implicitly closed: the last vertex connects
 //! back to the first).
 
-use crate::vec2::Vec2;
+use crate::vec2::{order_from_squares, Vec2};
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// A closed polygon in the projection plane (kilometre coordinates).
 ///
@@ -31,28 +32,25 @@ pub struct Ring {
 }
 
 impl Ring {
-    /// Creates a ring from a vertex list. Consecutive duplicate vertices are
-    /// removed; the polygon is implicitly closed.
-    pub fn new(points: Vec<Vec2>) -> Self {
-        let mut cleaned: Vec<Vec2> = Vec::with_capacity(points.len());
-        for p in points {
-            if !p.is_finite() {
-                continue;
+    /// Creates a ring from a vertex list. Non-finite vertices and
+    /// consecutive duplicates (closer than 10⁻¹² km) are removed, in place;
+    /// the polygon is implicitly closed.
+    pub fn new(mut points: Vec<Vec2>) -> Self {
+        let mut last_kept: Option<Vec2> = None;
+        points.retain(|&p| {
+            let keep = p.is_finite() && !last_kept.is_some_and(|q| coincident(q, p));
+            if keep {
+                last_kept = Some(p);
             }
-            if cleaned
-                .last()
-                .map(|q| q.distance(p) < 1e-12)
-                .unwrap_or(false)
-            {
-                continue;
-            }
-            cleaned.push(p);
-        }
+            keep
+        });
         // Drop a trailing vertex that duplicates the first.
-        if cleaned.len() > 1 && cleaned[0].distance(*cleaned.last().unwrap()) < 1e-12 {
-            cleaned.pop();
+        if let [first, .., last] = points[..] {
+            if coincident(first, last) {
+                points.pop();
+            }
         }
-        Ring::from_cleaned(cleaned)
+        Ring::from_cleaned(points)
     }
 
     /// Builds a ring from an already-cleaned vertex list, computing the
@@ -294,19 +292,29 @@ impl Ring {
         // boundary — keeping the per-call movement bound honest.
         let mut removed_prev = false;
         let mut removed_first_noncollinear = false;
+        // A negative tolerance squares to zero, which `order_from_squares`
+        // leaves to the hypot form like any other undecided test.
+        let tolerance_sq = tolerance.max(0.0) * tolerance.max(0.0);
         for i in 0..n {
             let prev = self.points[(i + n - 1) % n];
             let cur = self.points[i];
             let next = self.points[(i + 1) % n];
-            let dist = cur.distance_to_segment(prev, next);
+            // `cur.distance_to_segment(prev, next) <= threshold`, from the
+            // squares where they decide it.
+            let offset = cur.offset_from_segment(prev, next);
+            let offset_sq = offset.length_squared();
+            let within = |threshold: f64, threshold_sq: f64| {
+                order_from_squares(offset_sq, threshold_sq)
+                    .map_or_else(|| offset.length() <= threshold, Ordering::is_lt)
+            };
             let turn = (cur - prev).cross(next - cur);
-            let exactly_collinear = dist <= 1e-9;
+            let exactly_collinear = within(1e-9, 1e-9 * 1e-9);
             let shrinks = orientation * turn >= 0.0 || exactly_collinear;
             // The adjacency guard must also span the ring wrap-around: the
             // last vertex is the first vertex's predecessor, so if vertex 0
             // was removed non-collinearly, vertex n−1 may not be.
             let wrap_blocked = i == n - 1 && removed_first_noncollinear;
-            let removable = dist <= tolerance
+            let removable = within(tolerance, tolerance_sq)
                 && shrinks
                 && (exactly_collinear || (!removed_prev && !wrap_blocked));
             if removable {
@@ -335,6 +343,14 @@ impl Ring {
             .map(|i| (self.points[i], self.points[(i + 1) % n]))
             .collect()
     }
+}
+
+/// `a.distance(b) < 1e-12`: the vertices [`Ring::new`] merges, decided
+/// from the squared distance where it is clear of the squared threshold.
+fn coincident(a: Vec2, b: Vec2) -> bool {
+    let d = a - b;
+    order_from_squares(d.length_squared(), 1e-12 * 1e-12)
+        .map_or_else(|| d.length() < 1e-12, Ordering::is_lt)
 }
 
 /// Convexity of a cleaned vertex list: every turn has the same sign and the
@@ -611,6 +627,160 @@ pub(crate) mod tests {
         let s = r.simplified(1e-9);
         assert_eq!(s.len(), 4);
         assert!((s.area() - r.area()).abs() < 1e-12);
+    }
+
+    /// `x` moved by `ulps` units in the last place; `x` is positive.
+    fn nudged(x: f64, ulps: i64) -> f64 {
+        f64::from_bits((x.to_bits() as i64 + ulps) as u64)
+    }
+
+    fn bits(points: &[Vec2]) -> Vec<(u64, u64)> {
+        points
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    }
+
+    /// [`Ring::new`]'s cleaning with the hypot duplicate test, into a new
+    /// vector.
+    fn cleaned_reference(points: &[Vec2]) -> Vec<Vec2> {
+        let mut cleaned: Vec<Vec2> = Vec::new();
+        for &p in points {
+            if !p.is_finite() || cleaned.last().is_some_and(|q| q.distance(p) < 1e-12) {
+                continue;
+            }
+            cleaned.push(p);
+        }
+        if cleaned.len() > 1 && cleaned[0].distance(*cleaned.last().unwrap()) < 1e-12 {
+            cleaned.pop();
+        }
+        cleaned
+    }
+
+    #[test]
+    fn cleaning_matches_the_hypot_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0xc1ea_0001);
+        for _ in 0..2_000 {
+            let mut points = Vec::new();
+            let mut p = Vec2::new(rng.gen_range(-2e4..2e4), rng.gen_range(-2e4..2e4));
+            for _ in 0..rng.gen_range(0..12) {
+                points.push(p);
+                // Steps from 0 to well over the threshold, many within a
+                // few ulps of it.
+                let step = match rng.gen_range(0..4) {
+                    0 => 0.0,
+                    1 => nudged(1e-12, rng.gen_range(-4..=4)),
+                    2 => 1e-12 * rng.gen_range(0.5..2.0),
+                    _ => rng.gen_range(0.0..100.0),
+                };
+                let angle = rng.gen_range(0.0..std::f64::consts::TAU);
+                p = Vec2::new(p.x + step * angle.cos(), p.y + step * angle.sin());
+                if rng.gen_bool(0.05) {
+                    points.push(Vec2::new(f64::NAN, p.y));
+                }
+            }
+            // Sometimes close the list onto (or right next to) its start.
+            if let Some(&first) = points.first() {
+                if rng.gen_bool(0.5) {
+                    points.push(first + Vec2::new(nudged(1e-12, rng.gen_range(-4..=4)), 0.0));
+                }
+            }
+            let ring = Ring::new(points.clone());
+            assert_eq!(bits(ring.points()), bits(&cleaned_reference(&points)));
+        }
+    }
+
+    /// [`Ring::simplified`] with the hypot distance tests.
+    fn simplified_reference(ring: &Ring, tolerance: f64) -> Ring {
+        let points = ring.points();
+        let n = points.len();
+        if n < 4 {
+            return ring.clone();
+        }
+        let orientation = ring.signed_area().signum();
+        let mut keep = Vec::with_capacity(n);
+        let mut removed_prev = false;
+        let mut removed_first_noncollinear = false;
+        for i in 0..n {
+            let prev = points[(i + n - 1) % n];
+            let cur = points[i];
+            let next = points[(i + 1) % n];
+            let dist = cur.distance_to_segment(prev, next);
+            let turn = (cur - prev).cross(next - cur);
+            let exactly_collinear = dist <= 1e-9;
+            let shrinks = orientation * turn >= 0.0 || exactly_collinear;
+            let wrap_blocked = i == n - 1 && removed_first_noncollinear;
+            let removable = dist <= tolerance
+                && shrinks
+                && (exactly_collinear || (!removed_prev && !wrap_blocked));
+            if removable {
+                removed_prev = true;
+                if i == 0 && !exactly_collinear {
+                    removed_first_noncollinear = true;
+                }
+            } else {
+                keep.push(cur);
+                removed_prev = false;
+            }
+        }
+        if keep.len() < 3 {
+            return ring.clone();
+        }
+        Ring::new(keep)
+    }
+
+    #[test]
+    fn simplification_matches_the_hypot_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5171_0001);
+        for _ in 0..300 {
+            let center = Vec2::new(rng.gen_range(-2e4..2e4), rng.gen_range(-2e4..2e4));
+            let radius = 0.5 * 40_000f64.powf(rng.gen::<f64>());
+            let n = rng.gen_range(4..64);
+            // A wobbly polygon with some exactly and nearly collinear
+            // vertices spliced in.
+            let mut points: Vec<Vec2> = (0..n)
+                .map(|i| {
+                    let a = std::f64::consts::TAU * i as f64 / n as f64;
+                    let r = radius * rng.gen_range(0.9..1.1);
+                    center + Vec2::new(a.cos(), a.sin()) * r
+                })
+                .collect();
+            for i in (0..points.len()).rev().step_by(3) {
+                let next = points[(i + 1) % points.len()];
+                let mid = points[i].lerp(next, 0.5);
+                let off = (next - points[i]).perp().normalized()
+                    * nudged(1e-9, rng.gen_range(-4..=4))
+                    * rng.gen_range(0.0..2.0);
+                points.insert(i + 1, mid + off);
+            }
+            if rng.gen_bool(0.5) {
+                points.reverse();
+            }
+            let ring = Ring::new(points);
+            // The escalated solver tolerances, and tolerances within a few
+            // ulps of the distances the test measures.
+            let mut tolerances = vec![0.25, 1.0, 4.0, 16.0, -1.0];
+            let pts = ring.points();
+            for i in 0..pts.len() {
+                let prev = pts[(i + pts.len() - 1) % pts.len()];
+                let next = pts[(i + 1) % pts.len()];
+                let d = pts[i].distance_to_segment(prev, next);
+                if d > 0.0 && rng.gen_bool(0.2) {
+                    tolerances.push(nudged(d, rng.gen_range(-4..=4)));
+                }
+            }
+            for tolerance in tolerances {
+                assert_eq!(
+                    bits(ring.simplified(tolerance).points()),
+                    bits(simplified_reference(&ring, tolerance).points()),
+                    "tolerance {tolerance:e}"
+                );
+            }
+        }
     }
 
     #[test]

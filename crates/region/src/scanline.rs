@@ -29,7 +29,8 @@
 //! is the exact (up to input flattening) result of the boolean operation.
 
 use crate::ring::Ring;
-use crate::vec2::Vec2;
+use crate::vec2::{order_from_squares, Vec2};
+use std::cmp::Ordering;
 
 /// Cheap instrumentation of the sweep engine, used by the perf regression
 /// guard (`octant-bench`'s `region` binary asserts that an n-ary sweep
@@ -212,7 +213,11 @@ pub(crate) fn collect_segments(rings: &[Ring]) -> Vec<Segment> {
         out.reserve(n);
         for i in 0..n {
             let (a, b) = (pts[i], pts[(i + 1) % n]);
-            if a.distance(b) > 1e-12 {
+            // `a.distance(b) > 1e-12`, from the squares where they decide.
+            let d = a - b;
+            if order_from_squares(d.length_squared(), 1e-12 * 1e-12)
+                .map_or_else(|| d.length() > 1e-12, Ordering::is_gt)
+            {
                 out.push(Segment { a, b });
             }
         }
@@ -994,8 +999,16 @@ fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
         let q = |v: f64| (v / (EPS * 10.0)).round() as i64;
         (q(a.x), q(a.y), q(b.x), q(b.y))
     }
+    /// `|ab × ac| <= 1e-6 · max(|ab|, 1) · max(|ac|, 1)`, decided from
+    /// the squared sides where they clear each other.
     fn collinear(a: Vec2, b: Vec2, c: Vec2) -> bool {
-        (b - a).cross(c - a).abs() <= 1e-6 * (b - a).length().max(1.0) * (c - a).length().max(1.0)
+        let (ab, ac) = (b - a, c - a);
+        let cross = ab.cross(ac);
+        let bound_sq = 1e-6 * 1e-6 * ab.length_squared().max(1.0) * ac.length_squared().max(1.0);
+        order_from_squares(cross * cross, bound_sq).map_or_else(
+            || cross.abs() <= 1e-6 * ab.length().max(1.0) * ac.length().max(1.0),
+            Ordering::is_lt,
+        )
     }
 
     let mut quads: Vec<Option<Quad>> = Vec::new();

@@ -229,9 +229,12 @@ fn replayed_dataset_supports_every_observation_type_octant_needs() {
 /// `min_rtt` is the copy-free read of `ping(..).min()`: every provider that
 /// overrides it, and every forwarding handle, must answer exactly the full
 /// observation's minimum — for measured pairs, host-to-router pairs,
-/// missing pairs and dark nodes alike.
+/// missing pairs, pairs recorded with no samples and dark nodes alike. A
+/// dataset records each pair's minimum when it records the observation, so
+/// its captures, its clones and the store's frozen views are all checked.
 #[test]
 fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
+    use octant_netsim::observation::PingObservation;
     use octant_netsim::{NodeId, ObservationRecord, ObservationStore, StoreConfig};
     use std::sync::Arc;
 
@@ -266,6 +269,9 @@ fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
     check("&dataset", &&dataset, &pairs);
     check("Arc<dataset>", &Arc::new(dataset.clone()), &pairs);
     check("dyn provider", &dataset as &dyn ObservationProvider, &pairs);
+    // A clone taken after the dataset has answered `min_rtt` answers alike.
+    assert!(dataset.min_rtt(hosts[0], hosts[1]).is_some());
+    check("clone after min_rtt", &dataset.clone(), &pairs);
 
     // A store whose reads see both its sorted index and an unflushed
     // buffer holding a newer, faster observation.
@@ -282,6 +288,22 @@ fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
         store.min_rtt(hosts[0], hosts[1]),
         dataset.min_rtt(hosts[0], hosts[1])
     );
+    check("store", &store, &pairs);
+    // The frozen view records the buffered observation's minimum, and a
+    // pair recorded with no samples has none.
+    store.ingest(vec![ObservationRecord::Ping {
+        from: hosts[1],
+        to: hosts[2],
+        observation: PingObservation::default(),
+        seq: 1,
+    }]);
+    let snapshot = store.snapshot_dataset();
+    assert_eq!(snapshot.min_rtt(hosts[1], hosts[2]), None);
+    assert_eq!(
+        snapshot.min_rtt(hosts[0], hosts[1]),
+        store.min_rtt(hosts[0], hosts[1])
+    );
+    check("store snapshot", &snapshot, &pairs);
     check("store", &store, &pairs);
     check("Arc<store>", &Arc::new(store), &pairs);
 

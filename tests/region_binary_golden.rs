@@ -19,6 +19,12 @@
 //! dedicated two-operand band loop that preceded the single n-ary sweep, so
 //! a pass means every binary op still produces the same bits and merges the
 //! same bands.
+//!
+//! A fourth digest pins disk construction (`Region::disk` and
+//! `Region::disk_with_tolerance`: Bézier flattening, ring cleaning and the
+//! convexity flag) over seeded disks. Its constant was captured with the
+//! recursive flattening and the `f64::hypot` distance tests that preceded
+//! the iterative flattening and the squared-distance decisions.
 
 use octant_region::scanline::{boolean_op, stats, BoolOp};
 use octant_region::{Region, Ring, Vec2};
@@ -212,4 +218,37 @@ fn holed_regions_keep_their_bits() {
         (0x7327_e8ab_2796_1fdb, 0x88b8_a511_4fd6_9901),
         "holed digests (Region, raw sweep)"
     );
+}
+
+/// Seeded disks across the scales constraint disks take: radii from 0.5
+/// to 20,000 km (log-uniform), centres up to ±2·10⁴ km from the origin,
+/// at the default flattening tolerance and at tolerances from 10⁻⁶ to
+/// 10 km (log-uniform; `Region::disk_with_tolerance` floors them at
+/// 10⁻⁴ of the radius). Every disk folds its rings' vertex bits, each
+/// ring's convexity flag and the region's area bits into the digest, so
+/// the constant pins Bézier flattening, ring cleaning and convexity
+/// together.
+#[test]
+fn flattened_disks_keep_their_bits() {
+    let mut rng = Lcg(0xd15c_0b17);
+    let mut digest = Digest::new();
+    for i in 0..4_000 {
+        let radius = 0.5 * 40_000f64.powf(rng.unit());
+        let center = Vec2::new(
+            (2.0 * rng.unit() - 1.0) * 2e4,
+            (2.0 * rng.unit() - 1.0) * 2e4,
+        );
+        let tolerance = 1e-6 * 1e7f64.powf(rng.unit());
+        let disk = if i % 2 == 0 {
+            Region::disk(center, radius)
+        } else {
+            Region::disk_with_tolerance(center, radius, tolerance)
+        };
+        digest.rings(disk.rings());
+        for ring in disk.rings() {
+            digest.word(ring.is_convex() as u64);
+        }
+        digest.word(disk.area().to_bits());
+    }
+    assert_eq!(digest.0, 0x3a0c_b312_2cb6_5124, "disk digest");
 }
