@@ -11,6 +11,11 @@
 //!   (no ring stitching — the solver's chunk-gate path) is timed
 //!   alongside, and the n-ary sweep's crossing-enumeration work
 //!   (`crossing_scan_ops`) is reported;
+//! * a **solver-style subtract chain** (`octant_bench::subtract_chain_operands`,
+//!   pinned bit for bit by `tests/region_binary_golden.rs`): a 16-disk
+//!   `intersect_many`, then 24 disk subtractions each followed by
+//!   `simplify_to_budget(0.25, 4096)` — one op is the whole chain, and its
+//!   band merges and crossing-enumeration work are reported;
 //! * the intersection-walk dilation outcomes (`walk_unions` /
 //!   `walk_fallbacks`) over the whole run;
 //! * **contour extraction** from a router-like trapezoid soup — ring-count
@@ -140,6 +145,33 @@ fn main() {
     summary.push("intersect16_chained_band_merges", chained_bands as f64);
     summary.push("intersect16_nary_band_merges", nary_bands as f64);
     summary.push("crossing_scan_ops", crossing_scan_ops as f64);
+
+    // ---- Solver-style subtract chain over a trapezoid soup ----------------
+    // The solver's refinement as one op: a 16-disk intersection, then 24
+    // disk subtractions, each re-budgeted as the solver does. Every
+    // subtraction sweeps the estimate's soup of trapezoids, internal
+    // horizontal edges included.
+    let (chain_disks, bites) = octant_bench::subtract_chain_operands();
+    let subtract_chain = || {
+        let mut estimate = Region::intersect_many(chain_disks.iter()).into_region();
+        for bite in &bites {
+            estimate = estimate.subtract(bite).simplify_to_budget(0.25, 4096);
+        }
+        estimate
+    };
+    let before = stats::thread_band_merges();
+    let before_scans = stats::thread_crossing_scan_ops();
+    let chain_result = subtract_chain();
+    let chain_bands = stats::thread_band_merges() - before;
+    let chain_scans = stats::thread_crossing_scan_ops() - before_scans;
+    let chain_ops = ops_per_sec(iters, subtract_chain);
+    println!(
+        "# soup subtract chain : {chain_ops:>10.1} ops/s  ({} rings out, {chain_bands} band merges, {chain_scans} crossing scan ops)",
+        chain_result.ring_count()
+    );
+    summary.push("soup_subtract_ops_per_sec", chain_ops);
+    summary.push("soup_subtract_crossing_scan_ops", chain_scans as f64);
+    summary.push("soup_subtract_band_merges", chain_bands as f64);
 
     // ---- Contour extraction from router-like trapezoid soup ----------------
     let soup = router_region();

@@ -621,6 +621,14 @@ impl BenchSummary {
 ///   "crossing_scan_ops": 27000,                // candidate pairs the n-ary
 ///                                              // sweep's crossing
 ///                                              // enumeration examined
+///                                              // (only pairs with a non-
+///                                              // horizontal first segment)
+///   "soup_subtract_ops_per_sec": 140.0,        // whole subtract chains/s:
+///                                              // 16-disk intersect_many,
+///                                              // then 24 subtract +
+///                                              // simplify_to_budget steps
+///   "soup_subtract_crossing_scan_ops": 180000, // one chain's crossing scan
+///   "soup_subtract_band_merges": 4916,         // and band-merge counts
 ///   "contour_extract_ops_per_sec": 9500.0,     // BandedRegion -> contours
 ///   "contour_soup_rings": 37,                  // trapezoid rings going in
 ///   "contour_rings": 1,                        // merged contours coming out
@@ -771,6 +779,36 @@ pub fn truth_of(campaign: &Campaign, host: NodeId) -> octant_geo::GeoPoint {
         .dataset
         .advertised_location(host)
         .expect("campaign hosts have ground truth")
+}
+
+/// Operands of a solver-style subtract chain: 16 constraint disks around
+/// the origin, whose intersection is the starting estimate, and 24
+/// negative-constraint disks to subtract from it one at a time. The
+/// negative disks sit along the x-axis, a third of them centred exactly
+/// on y = 0, so their edges and the estimate's cross that line.
+///
+/// The `region` bench times this chain and `tests/region_binary_golden.rs`
+/// pins its output bits; changing the layout means re-capturing that
+/// golden.
+pub fn subtract_chain_operands() -> (Vec<octant_region::Region>, Vec<octant_region::Region>) {
+    use octant_region::{Region, Vec2};
+    let disks = (0..16)
+        .map(|i| {
+            let a = i as f64 * 0.7 + 0.05;
+            Region::disk(
+                Vec2::new(a.cos() * 200.0, a.sin() * 200.0),
+                600.0 + 40.0 * (i % 5) as f64,
+            )
+        })
+        .collect();
+    let bites = (0..24)
+        .map(|i| {
+            let a = i as f64 * 2.3;
+            let y = if i % 3 == 0 { 0.0 } else { a.sin() * 60.0 };
+            Region::disk(Vec2::new(a.cos() * 380.0, y), 50.0 + 12.0 * (i % 4) as f64)
+        })
+        .collect();
+    (disks, bites)
 }
 
 #[cfg(test)]

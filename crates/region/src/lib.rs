@@ -50,13 +50,25 @@
 //!   [`Region::union_many`] merge all operands' per-band interval lists in
 //!   one scanline pass instead of re-decomposing an accumulator through
 //!   N−1 chained pairwise sweeps. The two-operand ops are the same sweep
-//!   over two operands. Every sweep finds its
-//!   crossing events with one forward rescan over `min_y`-ranked bounding
-//!   boxes. In trapezoid soups nearly every crossing it meets is a
-//!   touching corner whose y is bit-equal to an endpoint height, which is
-//!   already an event; the rescan drops those before the sort, leaving the
-//!   event list unchanged. `region.crossing_scan_ops` counts the candidate
-//!   pairs it examines.
+//!   over two operands. Every sweep ranks its segments **once**, by an
+//!   integer sort of `(order-preserving bits of min_y + 0.0, index)`
+//!   (adding +0.0 folds −0.0 onto +0.0, so the two tie as under
+//!   `partial_cmp`); that ranking is both the crossing enumeration's order
+//!   and the band loop's entry order. The crossing events come from one
+//!   forward rescan over the ranked bounding boxes. In trapezoid soups
+//!   nearly every crossing it meets is a touching corner whose y is
+//!   bit-equal to an endpoint height, which is already an event; the
+//!   rescan drops those before the sort, leaving the event list unchanged.
+//!   A horizontal earlier-ranked segment (bit-equal endpoint heights, not
+//!   −0.0) can only report `a.y + 0·t`, which is `a.y` bit for bit and
+//!   always dropped, so its pairs are not scanned at all; at −0.0 the sum
+//!   would be +0.0, so those stay scanned. The soup's internal horizontal
+//!   edges are a large share of its segments. `region.crossing_scan_ops`
+//!   counts the candidate pairs the rescan examines: only pairs with a
+//!   non-horizontal first segment. Stitching compacts vertically stacked
+//!   trapezoids and builds a new ring only for merged ones; every other
+//!   trapezoid keeps the ring the band loop emitted, which is the ring a
+//!   rebuild would give.
 //! * **The banded core** — the sweep's native product is a
 //!   [`banded::BandedRegion`]: a y-banded interval decomposition that
 //!   answers area/bbox/containment without ring construction and converts

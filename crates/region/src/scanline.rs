@@ -63,7 +63,9 @@ pub mod stats {
     }
 
     /// `region.crossing_scan_ops`: candidate pairs examined while
-    /// enumerating segment crossings.
+    /// enumerating segment crossings. Only pairs whose earlier-ranked
+    /// segment is not horizontal are examined, and so counted; a horizontal
+    /// first segment's pairs are skipped unscanned.
     fn scan_ops_counter() -> &'static octant_telemetry::Counter {
         static COUNTER: OnceLock<octant_telemetry::Counter> = OnceLock::new();
         COUNTER.get_or_init(|| {
@@ -109,11 +111,11 @@ pub mod stats {
         BAND_MERGES.with(|c| c.get())
     }
 
-    /// Folds `n` examined crossing-candidate pairs into the calling
-    /// thread's counter and the process-wide `region.crossing_scan_ops`
-    /// registry counter. The crossing enumeration calls this once per
-    /// sweep with its total, so the registry sees one relaxed add per
-    /// sweep.
+    /// Folds `n` examined crossing-candidate pairs (pairs with a
+    /// non-horizontal first segment) into the calling thread's counter and
+    /// the process-wide `region.crossing_scan_ops` registry counter. The
+    /// crossing enumeration calls this once per sweep with its total, so
+    /// the registry sees one relaxed add per sweep.
     pub(crate) fn add_crossing_scans(n: u64) {
         if n == 0 {
             return;
@@ -123,8 +125,9 @@ pub mod stats {
     }
 
     /// Total crossing-scan candidate examinations performed by the calling
-    /// thread so far (see `add_crossing_scans`). The region bench reports
-    /// this delta for its 16-way intersection.
+    /// thread so far: pairs whose earlier-ranked segment is not horizontal
+    /// (see `add_crossing_scans`). The region bench reports this delta for
+    /// its 16-way intersection and its subtract chain.
     pub fn thread_crossing_scan_ops() -> u64 {
         CROSSING_SCAN_OPS.with(|c| c.get())
     }
@@ -267,21 +270,37 @@ fn y_range(segs: &[Segment]) -> (f64, f64) {
     (lo, hi)
 }
 
-/// Sorts segment indices by `(min_y, index)`: the crossing enumeration's
-/// rank order. The earlier-ranked segment of a pair is always
-/// [`crossing_y`]'s first argument, and the tie on the original index keeps
-/// that orientation, and with it the bits of every crossing y, fixed when
-/// segments start at bit-equal heights.
+/// Sorts segment indices by `(min_y, index)`, once per sweep: the crossing
+/// enumeration's rank order and the band loop's entry order. The
+/// earlier-ranked segment of a pair is always [`crossing_y`]'s first
+/// argument, and the tie on the original index keeps that orientation, and
+/// with it the bits of every crossing y, fixed when segments start at
+/// bit-equal heights.
+///
+/// The sort runs on integer keys: [`ordered_bits`] of `min_y`, then the
+/// index. That is the order `partial_cmp` on `min_y` with an index
+/// tie-break gives, ±0.0 tying included, because segment coordinates are
+/// finite (`Ring::new` drops non-finite points).
 fn rank_by_min_y(segs: &[Segment]) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..segs.len()).collect();
-    order.sort_unstable_by(|&i, &j| {
-        segs[i]
-            .min_y()
-            .partial_cmp(&segs[j].min_y())
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| i.cmp(&j))
-    });
-    order
+    let mut keyed: Vec<(u64, u32)> = segs
+        .iter()
+        .enumerate()
+        .map(|(i, s)| (ordered_bits(s.min_y()), i as u32))
+        .collect();
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, i)| i as usize).collect()
+}
+
+/// `y`'s bits mapped so that unsigned integer order is numeric order. `y +
+/// 0.0` folds −0.0 onto +0.0 first, so the two tie as they do under
+/// `partial_cmp`. `y` must not be NaN.
+fn ordered_bits(y: f64) -> u64 {
+    let bits = (y + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
 }
 
 /// Whether `y` is bit-equal to one of the segment's endpoint heights.
@@ -289,30 +308,46 @@ fn is_endpoint_height(s: &Segment, y: f64) -> bool {
     y.to_bits() == s.a.y.to_bits() || y.to_bits() == s.b.y.to_bits()
 }
 
+/// Whether every crossing [`crossing_y`] can report with `s` as its first
+/// segment is bit-equal to `s`'s own height, so the enumeration would drop
+/// it: `s` is horizontal (bit-equal endpoint heights) at a height other than
+/// −0.0.
+///
+/// A reported crossing is `a.y + r.y·t` with `r.y = b.y − a.y = +0.0` and
+/// `t` in `[0, 1]` (finite, since `|denom| ≥ 1e-15`), so `r.y·t` is ±0.0
+/// and the sum is `a.y` bit for bit — except at `a.y = −0.0`, where adding
+/// +0.0 gives +0.0, a value the endpoint check would not drop.
+fn reports_only_own_height(s: &Segment) -> bool {
+    s.a.y.to_bits() == s.b.y.to_bits() && s.a.y.to_bits() != (-0.0f64).to_bits()
+}
+
 /// Appends the y-coordinates of all pairwise segment crossings to `ys`: the
 /// sweep's one crossing enumeration.
 ///
-/// Ranks segments by `min_y` and, for each segment, scans forward while
-/// candidates can still overlap it vertically, skipping candidates whose
-/// x-span misses its own by more than `EPS`. Every pair that can cross
-/// reaches [`crossing_y`], earlier rank first.
+/// Takes the segments in `order` (the sweep's [`rank_by_min_y`] ranking)
+/// and, for each segment, scans forward while candidates can still overlap
+/// it vertically, skipping candidates whose x-span misses its own by more
+/// than `EPS`. Every pair that can cross reaches [`crossing_y`], earlier
+/// rank first — except the pairs whose earlier segment is horizontal
+/// ([`reports_only_own_height`]), which are not scanned at all.
 ///
 /// A crossing whose y is bit-equal to an endpoint height of either segment
 /// of the pair is not pushed. The caller pushes every endpoint height, so
 /// the value is already in `ys` and the sorted, deduplicated event list is
 /// unchanged. In trapezoid soups nearly every reported crossing is such a
-/// touching corner, and dropping them here keeps them out of the sort.
-fn pairwise_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
+/// touching corner, and dropping them here keeps them out of the sort; a
+/// horizontal first segment can report nothing else, and the soup's
+/// internal horizontal edges are a large share of its segments.
+fn pairwise_crossing_ys(segs: &[Segment], order: &[usize], ys: &mut Vec<f64>) {
     // Flat bbox arrays in rank order: the scan touches four contiguous f64
     // lanes instead of chasing `Segment`s, and the x-overlap reject runs
     // before any segment data is loaded.
-    let order = rank_by_min_y(segs);
     let n = order.len();
     let mut min_y = Vec::with_capacity(n);
     let mut max_y = Vec::with_capacity(n);
     let mut min_x = Vec::with_capacity(n);
     let mut max_x = Vec::with_capacity(n);
-    for &i in &order {
+    for &i in order {
         let s = &segs[i];
         min_y.push(s.min_y());
         max_y.push(s.max_y());
@@ -321,9 +356,12 @@ fn pairwise_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
     }
     let mut scan_ops = 0u64;
     for k in 0..n {
+        let si = &segs[order[k]];
+        if reports_only_own_height(si) {
+            continue;
+        }
         let top = max_y[k] + EPS;
         let (lo_x, hi_x) = (min_x[k] - EPS, max_x[k] + EPS);
-        let si = &segs[order[k]];
         for j in (k + 1)..n {
             scan_ops += 1;
             if min_y[j] > top {
@@ -343,17 +381,17 @@ fn pairwise_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
     stats::add_crossing_scans(scan_ops);
 }
 
-/// The event heights of a sweep over `segs`: every endpoint height plus
-/// every pairwise crossing, clipped to `window` when one applies, sorted,
-/// with heights closer than `EPS` merged. Between two consecutive events no
-/// segment starts, ends or crosses another.
-fn event_ys(segs: &[Segment], window: Option<(f64, f64)>) -> Vec<f64> {
+/// The event heights of a sweep over `segs` (ranked by `order`): every
+/// endpoint height plus every pairwise crossing, clipped to `window` when
+/// one applies, sorted, with heights closer than `EPS` merged. Between two
+/// consecutive events no segment starts, ends or crosses another.
+fn event_ys(segs: &[Segment], order: &[usize], window: Option<(f64, f64)>) -> Vec<f64> {
     let mut ys: Vec<f64> = Vec::with_capacity(segs.len() * 2);
     for s in segs {
         ys.push(s.a.y);
         ys.push(s.b.y);
     }
-    pairwise_crossing_ys(segs, &mut ys);
+    pairwise_crossing_ys(segs, order, &mut ys);
     sorted_events(ys, window)
 }
 
@@ -695,16 +733,10 @@ pub(crate) fn sweep_bands(
         }
     }
 
-    let ys = event_ys(&segs, window);
-
-    // Segments enter the active list in `min_y` order.
-    let mut by_min: Vec<usize> = (0..segs.len()).collect();
-    by_min.sort_by(|&i, &j| {
-        segs[i]
-            .min_y()
-            .partial_cmp(&segs[j].min_y())
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    // One ranking serves both the crossing enumeration and the order in
+    // which segments enter the active list.
+    let by_min = rank_by_min_y(&segs);
+    let ys = event_ys(&segs, &by_min, window);
 
     let mut next_in = 0usize;
     let mut ordered: Vec<ActiveSeg> = Vec::new();
@@ -825,6 +857,12 @@ fn active_before(a: &ActiveSeg, b: &ActiveSeg) -> bool {
 /// folded through [`merge_band`] in order, trailing open trapezoids
 /// emitted, and vertically mergeable quads compacted.
 pub(crate) fn stitch_sweep(sweep: &BandedSweep) -> Vec<Ring> {
+    compact_trapezoids(band_trapezoids(sweep))
+}
+
+/// The trapezoids of a banded sweep result, each grown across the bands
+/// its bounding segments share, before compaction.
+fn band_trapezoids(sweep: &BandedSweep) -> Vec<Ring> {
     let segs = &sweep.segs;
     let mut out: Vec<Ring> = Vec::new();
     let mut open: Vec<OpenTrapezoid> = Vec::new();
@@ -845,7 +883,7 @@ pub(crate) fn stitch_sweep(sweep: &BandedSweep) -> Vec<Ring> {
             emit(ot, segs, &mut out);
         }
     }
-    compact_trapezoids(out)
+    out
 }
 
 /// An interval endpoint event of the per-band combine.
@@ -940,6 +978,11 @@ fn interval_op_many(
 /// boundary segments at band boundaries; without this pass the representation
 /// (and therefore the cost of subsequent operations) grows with every
 /// operation in a solve.
+///
+/// Only merged quads are rebuilt with `Ring::new`; every other quad keeps
+/// the ring [`emit`] built for it. That ring is the same one a rebuild would
+/// give: a 4-point ring lost no vertex to cleaning, so cleaning its points
+/// again keeps all four, and the bbox and convexity follow from the points.
 fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
     use std::collections::HashMap;
 
@@ -1011,18 +1054,24 @@ fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
         )
     }
 
+    // `emitted[i]` is quad i's ring until another quad merges into it.
     let mut quads: Vec<Option<Quad>> = Vec::new();
+    let mut emitted: Vec<Option<Ring>> = Vec::new();
     let mut passthrough: Vec<Ring> = Vec::new();
     for r in rings {
         match as_quad(&r) {
-            Some(q) => quads.push(Some(q)),
+            Some(q) => {
+                quads.push(Some(q));
+                emitted.push(Some(r));
+            }
             None => passthrough.push(r),
         }
     }
 
     // Map from a quad's bottom edge to its index, so the quad below can find
     // the one stacked on top of it.
-    let mut by_bottom: HashMap<(i64, i64, i64, i64), usize, QuadKeyState> = HashMap::default();
+    let mut by_bottom: HashMap<(i64, i64, i64, i64), usize, QuadKeyState> =
+        HashMap::with_capacity_and_hasher(quads.len(), QuadKeyState::default());
     for (i, q) in quads.iter().enumerate() {
         if let Some(q) = q {
             by_bottom.insert(key(q.bl, q.br), i);
@@ -1049,6 +1098,7 @@ fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
                 by_bottom.remove(&key(upper.bl, upper.br));
                 quads[j] = None;
                 quads[i] = Some(merged);
+                emitted[i] = None;
             } else {
                 break;
             }
@@ -1056,8 +1106,10 @@ fn compact_trapezoids(rings: Vec<Ring>) -> Vec<Ring> {
     }
 
     let mut out = passthrough;
-    for q in quads.into_iter().flatten() {
-        out.push(Ring::new(vec![q.bl, q.br, q.tr, q.tl]));
+    for (q, ring) in quads.into_iter().zip(emitted) {
+        if let Some(q) = q {
+            out.push(ring.unwrap_or_else(|| Ring::new(vec![q.bl, q.br, q.tr, q.tl])));
+        }
     }
     out
 }
@@ -1390,15 +1442,97 @@ mod tests {
         assert!((ca - na).abs() / ca.max(1.0) < 1e-6);
     }
 
+    /// The crossing enumeration's rank order as the comparator sort that
+    /// preceded the integer ranking computed it: unstable, on
+    /// `(min_y via partial_cmp, index)`.
+    fn comparator_rank(segs: &[Segment]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..segs.len()).collect();
+        order.sort_unstable_by(|&i, &j| {
+            segs[i]
+                .min_y()
+                .partial_cmp(&segs[j].min_y())
+                .unwrap_or(Ordering::Equal)
+                .then_with(|| i.cmp(&j))
+        });
+        order
+    }
+
+    /// The band loop's entry order as the stable `partial_cmp` sort that
+    /// preceded the integer ranking computed it.
+    fn stable_rank(segs: &[Segment]) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..segs.len()).collect();
+        order.sort_by(|&i, &j| {
+            segs[i]
+                .min_y()
+                .partial_cmp(&segs[j].min_y())
+                .unwrap_or(Ordering::Equal)
+        });
+        order
+    }
+
+    /// Seeded segment sets whose heights come mostly from a small pool
+    /// (many equal `min_y`, ±0.0 among them) and otherwise log-uniformly
+    /// from 1e-9 to 1e7 km of either sign: the integer ranking must give
+    /// exactly the permutation of both comparator sorts. Sizes span both
+    /// sides of the standard library's small-sort cut-off.
+    #[test]
+    fn integer_ranking_matches_the_comparator_sorts() {
+        let pool = [
+            0.0, -0.0, 1e-9, -1e-9, 2.5e-9, 0.125, -0.125, 1.0, -1.0, 42.0, 1e7, -1e7,
+        ];
+        fn unit(h: &mut u64) -> f64 {
+            *h = h
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (*h >> 11) as f64 / (1u64 << 53) as f64
+        }
+        let height = |h: &mut u64| {
+            if unit(h) < 0.7 {
+                pool[(unit(h) * pool.len() as f64) as usize]
+            } else {
+                let sign = if unit(h) < 0.5 { -1.0 } else { 1.0 };
+                sign * 1e-9 * 1e16f64.powf(unit(h))
+            }
+        };
+        let mut h = 0x5eed_0f2a_u64;
+        let mut zeros = 0;
+        for n in [1usize, 2, 7, 19, 20, 33, 64, 257, 1000] {
+            for _ in 0..8 {
+                let segs: Vec<Segment> = (0..n)
+                    .map(|_| Segment {
+                        a: Vec2::new(unit(&mut h) * 100.0, height(&mut h)),
+                        b: Vec2::new(unit(&mut h) * 100.0, height(&mut h)),
+                    })
+                    .collect();
+                zeros += segs.iter().filter(|s| s.min_y() == 0.0).count();
+                let rank = rank_by_min_y(&segs);
+                assert_eq!(rank, comparator_rank(&segs), "unstable sort, n = {n}");
+                assert_eq!(rank, stable_rank(&segs), "stable sort, n = {n}");
+            }
+        }
+        assert!(
+            zeros > 100,
+            "the sets must tie on ±0.0 ({zeros} zero heights)"
+        );
+    }
+
     /// The all-pairs crossing oracle: every pair goes through `crossing_y`,
-    /// earlier rank first as in the enumeration, with no bbox pre-filter and
-    /// no duplicate filter.
-    fn all_pairs_crossing_ys(segs: &[Segment], ys: &mut Vec<f64>) {
-        let order = rank_by_min_y(segs);
+    /// earlier rank first as in the enumeration (ranked by its own
+    /// comparator sort), with no bbox pre-filter and no horizontal skip.
+    /// With `drop_endpoint_heights`, a crossing bit-equal to an endpoint
+    /// height of its pair is not pushed, as in the enumeration; without it,
+    /// every crossing is.
+    fn all_pairs_crossing_ys(segs: &[Segment], drop_endpoint_heights: bool, ys: &mut Vec<f64>) {
+        let order = comparator_rank(segs);
         for (k, &i) in order.iter().enumerate() {
             for &j in &order[k + 1..] {
-                if let Some(y) = crossing_y(&segs[i], &segs[j]) {
-                    ys.push(y);
+                let (si, sj) = (&segs[i], &segs[j]);
+                if let Some(y) = crossing_y(si, sj) {
+                    if !drop_endpoint_heights
+                        || !(is_endpoint_height(si, y) || is_endpoint_height(sj, y))
+                    {
+                        ys.push(y);
+                    }
                 }
             }
         }
@@ -1410,9 +1544,9 @@ mod tests {
     /// equal lists mean equal rings.
     fn assert_events_match_oracle(tag: &str, segs: &[Segment], window: Option<(f64, f64)>) {
         let mut raw: Vec<f64> = segs.iter().flat_map(|s| [s.a.y, s.b.y]).collect();
-        all_pairs_crossing_ys(segs, &mut raw);
+        all_pairs_crossing_ys(segs, false, &mut raw);
         let oracle = sorted_events(raw, window);
-        let events = event_ys(segs, window);
+        let events = event_ys(segs, &rank_by_min_y(segs), window);
         assert_eq!(events.len(), oracle.len(), "{tag}: event counts");
         for (e, o) in events.iter().zip(&oracle) {
             assert_eq!(e.to_bits(), o.to_bits(), "{tag}: event {e} vs oracle {o}");
@@ -1575,10 +1709,10 @@ mod tests {
                 nary_arena(&[&estimate, &bite], BoolOp::Difference).expect("a sweep");
             assert_events_match_oracle(&format!("subtract{i}"), &segs, window);
             let mut ys = Vec::new();
-            all_pairs_crossing_ys(&segs, &mut ys);
+            all_pairs_crossing_ys(&segs, false, &mut ys);
             oracle_crossings += ys.len();
             ys.clear();
-            pairwise_crossing_ys(&segs, &mut ys);
+            pairwise_crossing_ys(&segs, &rank_by_min_y(&segs), &mut ys);
             pushed += ys.len();
             estimate = estimate.subtract(&bite);
         }
@@ -1591,6 +1725,142 @@ mod tests {
             pushed < oracle_crossings,
             "the duplicate filter never fired ({pushed} of {oracle_crossings} crossings kept)"
         );
+    }
+
+    /// A trapezoid soup split at y = 0 whose horizontal edges sit at −0.0
+    /// in some columns and +0.0 in others, against triangles whose bottom
+    /// vertices touch those edges at either sign of zero. A horizontal edge
+    /// at −0.0 ranked before such a triangle's edge reports the crossing
+    /// +0.0, which no endpoint of the pair carries, so the enumeration must
+    /// still scan that pair.
+    ///
+    /// With both signs of zero among a sweep's event heights, which zero
+    /// survives the value sort's dedup depends on how many copies of each
+    /// the list holds, so the unfiltered oracle can disagree with the
+    /// enumeration on the sign of a zero event (it does here, horizontal
+    /// skip or not). This test therefore compares the crossings pushed, in
+    /// order, with an all-pairs scan that drops the same endpoint heights:
+    /// equal pushes give equal event lists whatever the sort does.
+    #[test]
+    fn crossing_pushes_match_the_oracle_on_signed_zero_soups() {
+        let p = Vec2::new;
+        let zero = |k: usize| if k.is_multiple_of(2) { -0.0 } else { 0.0 };
+        let mut soup = Vec::new();
+        let mut spikes = Vec::new();
+        for k in 0..10 {
+            let x = 30.0 * k as f64;
+            let (zb, zt) = (zero(k), zero(k + 1));
+            soup.push(Ring::new(vec![
+                p(x, -40.0),
+                p(x + 30.0, -40.0),
+                p(x + 30.0, zb),
+                p(x, zb),
+            ]));
+            soup.push(Ring::new(vec![
+                p(x, zt),
+                p(x + 30.0, zt),
+                p(x + 25.0, 50.0),
+                p(x + 5.0, 50.0),
+            ]));
+            spikes.push(Ring::new(vec![
+                p(x + 12.0, zero(k / 2)),
+                p(x + 20.0, 35.0),
+                p(x + 4.0, 35.0),
+            ]));
+            spikes.push(Ring::new(vec![
+                p(x + 18.0, zero(k / 3)),
+                p(x + 26.0, -25.0),
+                p(x + 10.0, -25.0),
+            ]));
+        }
+        let soup = Region::from_disjoint_rings(soup);
+        let spikes = Region::from_disjoint_rings(spikes);
+        let bits = |ys: &[f64]| -> Vec<u64> { ys.iter().map(|y| y.to_bits()).collect() };
+        let mut positive_zero_pushes = 0;
+        for (tag, operands) in [
+            ("soup-first", [&soup, &spikes]),
+            ("spikes-first", [&spikes, &soup]),
+        ] {
+            for op in [
+                BoolOp::Union,
+                BoolOp::Intersection,
+                BoolOp::Difference,
+                BoolOp::Xor,
+            ] {
+                let Some((segs, _)) = nary_arena(&operands, op) else {
+                    continue;
+                };
+                let mut pushed = Vec::new();
+                pairwise_crossing_ys(&segs, &rank_by_min_y(&segs), &mut pushed);
+                let mut oracle = Vec::new();
+                all_pairs_crossing_ys(&segs, true, &mut oracle);
+                assert_eq!(
+                    bits(&pushed),
+                    bits(&oracle),
+                    "{tag}/{op:?}: pushed crossings"
+                );
+                positive_zero_pushes += pushed.iter().filter(|y| y.to_bits() == 0).count();
+            }
+        }
+        assert!(
+            positive_zero_pushes > 0,
+            "the fixture must make −0.0 edges report +0.0 crossings"
+        );
+    }
+
+    /// Compaction hands back the rings `emit` built for quads nothing
+    /// merged into. Each output ring must equal, in points, bbox and
+    /// convexity, the ring a rebuild from its points gives, as every quad
+    /// was rebuilt before; the fixture must exercise both merged and kept
+    /// quads.
+    #[test]
+    fn compaction_output_equals_rebuilding_every_quad() {
+        let disks: Vec<Region> = (0..16)
+            .map(|i| {
+                let a = i as f64 * 0.7;
+                Region::disk(
+                    Vec2::new(a.cos() * 200.0, a.sin() * 200.0),
+                    600.0 + 40.0 * (i % 5) as f64,
+                )
+            })
+            .collect();
+        let mut estimate = Region::intersect_many(disks.iter()).into_region();
+        let (mut merged, mut kept) = (0, 0);
+        for i in 0..8 {
+            let a = i as f64 * 2.3;
+            let bite = Region::disk(Vec2::new(a.cos() * 350.0, a.sin() * 60.0), 90.0);
+            let per_op = vec![
+                collect_segments(estimate.rings()),
+                collect_segments(bite.rings()),
+            ];
+            let NaryPlan::Sweep { per_op, window } = plan_nary(per_op, BoolOp::Difference) else {
+                panic!("step {i} must sweep");
+            };
+            let quads = band_trapezoids(&sweep_bands(per_op, BoolOp::Difference, window));
+            let out = compact_trapezoids(quads.clone());
+            for ring in &out {
+                let rebuilt = Ring::new(ring.points().to_vec());
+                let bits = |r: &Ring| -> Vec<u64> {
+                    r.points()
+                        .iter()
+                        .flat_map(|p| [p.x.to_bits(), p.y.to_bits()])
+                        .collect()
+                };
+                assert_eq!(bits(ring), bits(&rebuilt), "step {i}: points");
+                assert_eq!(ring.bbox(), rebuilt.bbox(), "step {i}: bbox");
+                assert_eq!(ring.is_convex(), rebuilt.is_convex(), "step {i}: convexity");
+            }
+            let area = |rings: &[Ring]| rings.iter().map(Ring::area).sum::<f64>();
+            let (before, after) = (area(&quads), area(&out));
+            assert!(
+                (before - after).abs() <= 1e-9 * before,
+                "step {i}: area {before} -> {after}"
+            );
+            kept += out.iter().filter(|r| quads.contains(r)).count();
+            merged += quads.len() - out.len();
+            estimate = estimate.subtract(&bite);
+        }
+        assert!(merged > 0 && kept > 0, "{merged} merges, {kept} kept quads");
     }
 
     #[test]

@@ -25,6 +25,11 @@
 //! convexity flag) over seeded disks. Its constant was captured with the
 //! recursive flattening and the `f64::hypot` distance tests that preceded
 //! the iterative flattening and the squared-distance decisions.
+//!
+//! A fifth digest pins a solver-style subtract chain whose soup has
+//! horizontal edges on y = 0. Its constant was captured with the sweep
+//! that still sorted its segments twice (comparator sorts), scanned every
+//! pair of a horizontal first segment and rebuilt every compacted quad.
 
 use octant_region::scanline::{boolean_op, stats, BoolOp};
 use octant_region::{Region, Ring, Vec2};
@@ -218,6 +223,31 @@ fn holed_regions_keep_their_bits() {
         (0x7327_e8ab_2796_1fdb, 0x88b8_a511_4fd6_9901),
         "holed digests (Region, raw sweep)"
     );
+}
+
+/// The solver's estimate refinement as one chain
+/// (`octant_bench::subtract_chain_operands`): a 16-disk
+/// `Region::intersect_many(..).into_region()`, then 24 disk subtractions,
+/// each followed by `simplify_to_budget(0.25, 4096)` as the solver
+/// re-budgets its estimate. Every step folds its band-merge delta, ring
+/// count and vertex bits into the digest.
+#[test]
+fn solver_subtract_chain_keeps_its_bits() {
+    let (disks, bites) = octant_bench::subtract_chain_operands();
+    let mut digest = Digest::new();
+    let mut estimate = digest.region(|| Region::intersect_many(disks.iter()).into_region());
+    let on_axis = |r: &Ring| r.points().iter().any(|p| p.y == 0.0);
+    let mut steps_with_axis_vertices = 0;
+    for bite in &bites {
+        estimate = digest.region(|| estimate.subtract(bite).simplify_to_budget(0.25, 4096));
+        steps_with_axis_vertices += estimate.rings().iter().any(on_axis) as usize;
+    }
+    assert!(estimate.ring_count() > 16, "the estimate must be a soup");
+    assert!(
+        steps_with_axis_vertices > 0,
+        "the chain must leave horizontal edges on y = 0"
+    );
+    assert_eq!(digest.0, 0xceb3_e36a_9294_874c, "subtract-chain digest");
 }
 
 /// Seeded disks across the scales constraint disks take: radii from 0.5
