@@ -11,10 +11,17 @@
 //!
 //! The JSON summary is an [`octant_bench::OpsBenchSummary`]: per mix,
 //! `mix_<name>_median_mi` / `_p90_mi` / `_hit_rate` / `_mean_area_mi2`,
-//! plus `mix_<name>_applied_<source>` for every source that contributed.
+//! plus `mix_<name>_applied_<source>` for every source that contributed,
+//! and the §2.2 target-height search's cost per call and exact share over
+//! the 66 leave-one-out inputs of `campaign_with_sites(66, 42)`.
 
 use octant::{BatchGeolocator, EvidencePipeline, Octant, OctantConfig, SourceId};
-use octant_bench::{pipeline_campaign, run_technique, OpsBenchSummary, StageRow, TechniqueResult};
+use octant_bench::{
+    campaign_with_sites, median_batch_secs, pipeline_campaign, run_technique, target_height_inputs,
+    OpsBenchSummary, StageRow, TechniqueResult,
+};
+use octant_telemetry::MetricsRegistry;
+use std::time::Duration;
 
 const SOURCES: &[SourceId] = &[
     SourceId::Latency,
@@ -190,6 +197,39 @@ fn main() {
                 row.name, row.count, row.total_ms, row.p50_ms, row.p99_ms
             );
         }
+    }
+
+    // ---- §2.2 target-height search ----------------------------------------
+    // The leave-one-out inputs of the benchmark's campaign size, timed as
+    // the median of 7 batches of one call per input, and the share of grid
+    // candidates the search's lower bound left to its exact evaluation.
+    {
+        let inputs = target_height_inputs(&campaign_with_sites(66, 42));
+        let registry = MetricsRegistry::global();
+        let read = || {
+            (
+                registry.counter_value("target_height.candidates"),
+                registry.counter_value("target_height.exact"),
+            )
+        };
+        let (candidates, exact) = read();
+        let run_all = || {
+            for input in &inputs {
+                std::hint::black_box(input.estimate());
+            }
+        };
+        run_all();
+        let (candidates_after, exact_after) = read();
+        let share = (exact_after - exact) as f64 / (candidates_after - candidates) as f64;
+        let us_per_call =
+            median_batch_secs(7, Duration::from_millis(50), run_all) * 1e6 / inputs.len() as f64;
+        println!(
+            "# target height: {us_per_call:.1} us/call over {} inputs, {:.1}% of grid candidates evaluated exactly",
+            inputs.len(),
+            share * 100.0
+        );
+        summary.push("target_height_us_per_call", us_per_call);
+        summary.push("target_height_exact_share", share);
     }
 
     if let Some(path) = json_path {

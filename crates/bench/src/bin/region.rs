@@ -17,7 +17,7 @@
 //!   `simplify_to_budget(0.25, 4096)` — one op is the whole chain, and its
 //!   band merges and crossing-enumeration work are reported;
 //! * the intersection-walk dilation outcomes (`walk_unions` /
-//!   `walk_fallbacks`) over the whole run;
+//!   `walk_fallbacks`) of one untimed call of each dilation stage;
 //! * **contour extraction** from a router-like trapezoid soup — ring-count
 //!   reduction and area parity (1e-9) are asserted, extraction throughput
 //!   and the contoured dilation variant are timed;
@@ -30,15 +30,21 @@
 //!   cleaning, convexity) at three constraint radii (60 / 1,000 /
 //!   6,000 km), in nanoseconds per output vertex.
 //!
+//! Every stage is timed as the median of several batches, each at least a
+//! minimum wall time long ([`octant_bench::median_batch_secs`]), so a short
+//! stall of the host moves one batch, not the field. The host's speed also
+//! drifts between runs, so compare fields within one run or over many.
+//!
 //! Run with `cargo run --release -p octant-bench --bin region`. Flags:
-//! * `--smoke` — reduced iteration counts (CI's bench-smoke job).
+//! * `--smoke` — 7 batches of at least 20 ms per stage instead of 15 of
+//!   100 ms (CI's bench-smoke job).
 //! * `--json <path>` — write the machine-readable `BENCH_region.json`
 //!   summary ([`octant_bench::OpsBenchSummary`] format).
 
-use octant_bench::{json_path_from_args, OpsBenchSummary};
+use octant_bench::{json_path_from_args, median_batch_secs, OpsBenchSummary};
 use octant_region::scanline::stats;
 use octant_region::{BandedRegion, Region, Vec2};
-use std::time::Instant;
+use std::time::Duration;
 
 /// The 16 constraint-scale disks every intersection measurement uses
 /// (same layout as the `region_ops` criterion bench).
@@ -79,20 +85,59 @@ fn outlines() -> Vec<Region> {
     out
 }
 
-/// Times `iters` runs of `f` and returns ops/sec.
-fn ops_per_sec<T>(iters: usize, mut f: impl FnMut() -> T) -> f64 {
-    let start = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(f());
+/// Intersection-walk unions and sweep fallbacks of the calls run through
+/// [`WalkTally::run`], from the calling thread's counters.
+#[derive(Default)]
+struct WalkTally {
+    unions: u64,
+    fallbacks: u64,
+}
+
+impl WalkTally {
+    fn run<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        let (unions, fallbacks) = stats::thread_walk_counts();
+        let out = f();
+        let (unions_after, fallbacks_after) = stats::thread_walk_counts();
+        self.unions += unions_after - unions;
+        self.fallbacks += fallbacks_after - fallbacks;
+        out
     }
-    iters as f64 / start.elapsed().as_secs_f64()
+}
+
+/// How each stage is timed: the number of batches and the least wall
+/// time of one.
+struct Timing {
+    batches: usize,
+    min_wall: Duration,
+}
+
+impl Timing {
+    /// Seconds per call of `f`, the median over the batches.
+    fn secs_per_call<T>(&self, f: impl FnMut() -> T) -> f64 {
+        median_batch_secs(self.batches, self.min_wall, f)
+    }
+
+    /// Calls of `f` per second, from [`Timing::secs_per_call`].
+    fn ops_per_sec<T>(&self, f: impl FnMut() -> T) -> f64 {
+        1.0 / self.secs_per_call(f)
+    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_path_from_args(&args);
-    let iters = if smoke { 5 } else { 40 };
+    let timing = if smoke {
+        Timing {
+            batches: 7,
+            min_wall: Duration::from_millis(20),
+        }
+    } else {
+        Timing {
+            batches: 15,
+            min_wall: Duration::from_millis(100),
+        }
+    };
 
     let mut summary = OpsBenchSummary {
         bench: "region".into(),
@@ -130,9 +175,9 @@ fn main() {
         "chained area {ca} vs n-ary {na}"
     );
 
-    let chained_ops = ops_per_sec(iters, || chained(&disks));
-    let nary_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()).into_region());
-    let banded_ops = ops_per_sec(iters, || Region::intersect_many(disks.iter()).area());
+    let chained_ops = timing.ops_per_sec(|| chained(&disks));
+    let nary_ops = timing.ops_per_sec(|| Region::intersect_many(disks.iter()).into_region());
+    let banded_ops = timing.ops_per_sec(|| Region::intersect_many(disks.iter()).area());
     println!("# intersect16 chained : {chained_ops:>10.1} ops/s  ({chained_bands} band merges)");
     println!("# intersect16 n-ary   : {nary_ops:>10.1} ops/s  ({nary_bands} band merges)");
     println!("# intersect16 banded  : {banded_ops:>10.1} ops/s  (area gate, no stitch)");
@@ -164,7 +209,7 @@ fn main() {
     let chain_result = subtract_chain();
     let chain_bands = stats::thread_band_merges() - before;
     let chain_scans = stats::thread_crossing_scan_ops() - before_scans;
-    let chain_ops = ops_per_sec(iters, subtract_chain);
+    let chain_ops = timing.ops_per_sec(subtract_chain);
     println!(
         "# soup subtract chain : {chain_ops:>10.1} ops/s  ({} rings out, {chain_bands} band merges, {chain_scans} crossing scan ops)",
         chain_result.ring_count()
@@ -189,9 +234,7 @@ fn main() {
         contours.len(),
         soup.ring_count()
     );
-    let extract_ops = ops_per_sec(iters, || {
-        BandedRegion::from_region(&soup).extract_contours()
-    });
+    let extract_ops = timing.ops_per_sec(|| BandedRegion::from_region(&soup).extract_contours());
     println!(
         "# contour extraction  : {extract_ops:>10.1} ops/s  ({} soup rings -> {} contours)",
         soup.ring_count(),
@@ -202,9 +245,10 @@ fn main() {
     summary.push("contour_rings", contours.len() as f64);
     summary.push("contour_area_rel_err", rel_err);
 
-    let contoured_ops = ops_per_sec(iters, || soup.dilate_with_contours(&contours, 300.0));
-    let contoured = soup.dilate_with_contours(&contours, 300.0);
-    let fast = soup.dilate(300.0);
+    let contoured_ops = timing.ops_per_sec(|| soup.dilate_with_contours(&contours, 300.0));
+    let mut walks = WalkTally::default();
+    let contoured = walks.run(|| soup.dilate_with_contours(&contours, 300.0));
+    let fast = walks.run(|| soup.dilate(300.0));
     let rel = (contoured.area() - fast.area()).abs() / fast.area();
     assert!(
         rel < 0.02,
@@ -216,16 +260,15 @@ fn main() {
     // ---- Dilation: fast dispatch vs capsule reference, 3 radius classes ----
     let region = router_region();
     for radius in [60.0f64, 300.0, 900.0] {
-        let fast = region.dilate(radius);
-        let reference = region.dilate_reference(radius);
+        let fast = walks.run(|| region.dilate(radius));
+        let reference = walks.run(|| region.dilate_reference(radius));
         let rel = (fast.area() - reference.area()).abs() / reference.area();
         assert!(
             rel < 0.02,
             "dilate({radius}) diverges from the reference by {rel}"
         );
-        let fast_ops = ops_per_sec(iters, || region.dilate(radius));
-        let ref_iters = (iters / 2).max(2);
-        let ref_ops = ops_per_sec(ref_iters, || region.dilate_reference(radius));
+        let fast_ops = timing.ops_per_sec(|| region.dilate(radius));
+        let ref_ops = timing.ops_per_sec(|| region.dilate_reference(radius));
         let label = format!("dilate_r{radius:.0}");
         println!(
             "# {label:<20}: {fast_ops:>10.1} ops/s fast, {ref_ops:>8.1} ops/s reference ({:.2}x)",
@@ -245,8 +288,8 @@ fn main() {
         }
         acc
     };
-    let union_chained_ops = ops_per_sec(iters, || chained_union(&lands));
-    let union_nary_ops = ops_per_sec(iters, || Region::union_many(lands.iter()));
+    let union_chained_ops = timing.ops_per_sec(|| chained_union(&lands));
+    let union_nary_ops = timing.ops_per_sec(|| Region::union_many(lands.iter()));
     println!("# union7 chained      : {union_chained_ops:>10.1} ops/s");
     println!("# union7 n-ary        : {union_nary_ops:>10.1} ops/s");
     summary.push("union7_chained_ops_per_sec", union_chained_ops);
@@ -257,26 +300,26 @@ fn main() {
     // Every solve builds one disk per landmark measurement, so the cost per
     // flattened vertex is the unit the flattening and cleaning paths are
     // judged by.
-    let builds = if smoke { 2_000 } else { 20_000 };
     for radius in [60.0f64, 1_000.0, 6_000.0] {
         let center = Vec2::new(120.0, -80.0);
         let vertices = Region::disk(center, radius).vertex_count();
-        let start = Instant::now();
-        for _ in 0..builds {
-            std::hint::black_box(Region::disk(std::hint::black_box(center), radius));
-        }
-        let ns_per_vertex = start.elapsed().as_nanos() as f64 / (builds * vertices) as f64;
+        let secs = timing.secs_per_call(|| Region::disk(std::hint::black_box(center), radius));
+        let ns_per_vertex = secs * 1e9 / vertices as f64;
         let label = format!("disk_r{radius:.0}");
         println!("# {label:<20}: {ns_per_vertex:>10.1} ns/vertex  ({vertices} vertices)");
         summary.push(format!("{label}_ns_per_vertex"), ns_per_vertex);
         summary.push(format!("{label}_vertices"), vertices as f64);
     }
 
-    // ---- Walk tallies over the whole bench run -----------------------------
-    // Thread-cumulative counters: how the intersection-walking dilation
-    // merge fared. The walk must have engaged — a bench run where every
+    // ---- Walk tallies of the untimed dilations -----------------------------
+    // How the intersection-walking dilation merge fared on one call of
+    // each dilation stage (the timed calls repeat them a host-dependent
+    // number of times). The walk must have engaged — a run where every
     // dilation fell back to the sweep means the fast path regressed.
-    let (walk_unions, walk_fallbacks) = stats::thread_walk_counts();
+    let WalkTally {
+        unions: walk_unions,
+        fallbacks: walk_fallbacks,
+    } = walks;
     assert!(
         walk_unions > 0,
         "the intersection-walking dilation merge never engaged"

@@ -648,6 +648,30 @@ impl BenchSummary {
 ///   ...
 /// }
 /// ```
+///
+/// The region bench times every stage with [`median_batch_secs`]: the
+/// median of 7 batches of at least 20 ms each in `smoke` (15 of 100 ms in
+/// `full`), so a short stall moves one batch, not the field; the host's
+/// speed also drifts from run to run, which no in-run statistic removes.
+/// `walk_unions` and `walk_fallbacks` count one untimed call of each
+/// dilation stage.
+///
+/// The `pipeline` bench reports, next to its per-mix fields, the §2.2
+/// target-height search over the 66 leave-one-out inputs of
+/// `campaign_with_sites(66, 42)` ([`target_height_inputs`]):
+///
+/// ```json
+/// {
+///   "bench": "pipeline",
+///   "scenario": "smoke",
+///   "mix_default_median_mi": 80.5,
+///   ...
+///   "target_height_us_per_call": 740.0,  // median of 7 batches of one
+///                                        // call per input
+///   "target_height_exact_share": 0.056   // grid candidates the search's
+///                                        // lower bound could not exclude
+/// }
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct OpsBenchSummary {
     /// Binary name (`"region"`).
@@ -809,6 +833,87 @@ pub fn subtract_chain_operands() -> (Vec<octant_region::Region>, Vec<octant_regi
         })
         .collect();
     (disks, bites)
+}
+
+/// Wall seconds per call of `op`: the median over `batches` batches, each
+/// timing enough calls to fill about `min_wall` (calibrated on one warm
+/// call, at least one call). Short operations are timed over many calls,
+/// and one slow batch (a descheduled thread, say) moves the result by one
+/// rank, not by its whole excess.
+pub fn median_batch_secs<T>(
+    batches: usize,
+    min_wall: std::time::Duration,
+    mut op: impl FnMut() -> T,
+) -> f64 {
+    use std::hint::black_box;
+    use std::time::Instant;
+    black_box(op());
+    let start = Instant::now();
+    black_box(op());
+    let once = start.elapsed().as_secs_f64();
+    let calls = (min_wall.as_secs_f64() / once.max(1e-9)).ceil().max(1.0) as u64;
+    let mut per_call: Vec<f64> = (0..batches.max(1))
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..calls {
+                black_box(op());
+            }
+            start.elapsed().as_secs_f64() / calls as f64
+        })
+        .collect();
+    per_call.sort_by(f64::total_cmp);
+    per_call[per_call.len() / 2]
+}
+
+/// One call's worth of input to the §2.2 target-height search
+/// ([`octant::heights::estimate_target_height`]).
+pub struct TargetHeightInput {
+    /// The landmarks' advertised positions.
+    pub positions: Vec<octant_geo::GeoPoint>,
+    /// Their solved heights.
+    pub heights: octant::heights::Heights,
+    /// The target's minimum RTT to each landmark.
+    pub rtts: Vec<Option<octant_geo::units::Latency>>,
+}
+
+impl TargetHeightInput {
+    /// Runs the search on this input.
+    pub fn estimate(&self) -> octant::heights::TargetHeight {
+        octant::heights::estimate_target_height(&self.positions, &self.heights, &self.rtts)
+    }
+}
+
+/// The target-height inputs of `campaign`'s leave-one-out evaluation under
+/// the default configuration: for each host, the landmark model prepared
+/// from every other host and the host's RTTs to those landmarks, as a
+/// localization hands them to the search.
+pub fn target_height_inputs(campaign: &Campaign) -> Vec<TargetHeightInput> {
+    let octant = octant::Octant::new(octant::OctantConfig::default());
+    campaign
+        .hosts
+        .iter()
+        .map(|&target| {
+            let landmarks: Vec<NodeId> = campaign
+                .hosts
+                .iter()
+                .copied()
+                .filter(|&h| h != target)
+                .collect();
+            let model = octant.prepare_landmarks(&campaign.dataset, &landmarks);
+            let ids = model.landmark_ids();
+            TargetHeightInput {
+                positions: ids
+                    .iter()
+                    .map(|&lm| campaign.dataset.advertised_location(lm).unwrap())
+                    .collect(),
+                heights: model.heights().clone(),
+                rtts: ids
+                    .iter()
+                    .map(|&lm| campaign.dataset.min_rtt(lm, target))
+                    .collect(),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -397,13 +397,18 @@ fn event_ys(segs: &[Segment], order: &[usize], window: Option<(f64, f64)>) -> Ve
 
 /// Clips raw event heights to `window`, sorts them and merges heights
 /// closer than `EPS`.
+///
+/// The sort is `f64::total_cmp`, which orders −0.0 before +0.0, so only
+/// bit-equal heights tie and the unstable sort is output-identical. Each
+/// merged run keeps its first height, the least in that order, so the list
+/// depends on which heights occur and not on how many copies of each: a
+/// crossing bit-equal to a height already in `ys` changes nothing, which is
+/// what lets [`pairwise_crossing_ys`] drop those.
 fn sorted_events(mut ys: Vec<f64>, window: Option<(f64, f64)>) -> Vec<f64> {
     if let Some((lo, hi)) = window {
         ys.retain(|y| *y >= lo && *y <= hi);
     }
-    // Values only — ties are bit-equal and dedup reads values — so the
-    // unstable sort is output-identical.
-    ys.sort_unstable_by(|x, y| x.partial_cmp(y).unwrap_or(std::cmp::Ordering::Equal));
+    ys.sort_unstable_by(f64::total_cmp);
     ys.dedup_by(|x, y| (*x - *y).abs() < EPS);
     ys
 }
@@ -1734,13 +1739,13 @@ mod tests {
     /// +0.0, which no endpoint of the pair carries, so the enumeration must
     /// still scan that pair.
     ///
-    /// With both signs of zero among a sweep's event heights, which zero
-    /// survives the value sort's dedup depends on how many copies of each
-    /// the list holds, so the unfiltered oracle can disagree with the
-    /// enumeration on the sign of a zero event (it does here, horizontal
-    /// skip or not). This test therefore compares the crossings pushed, in
-    /// order, with an all-pairs scan that drops the same endpoint heights:
-    /// equal pushes give equal event lists whatever the sort does.
+    /// The crossings pushed are compared, in order, with an all-pairs scan
+    /// that drops the same endpoint heights, and the event list with the
+    /// unfiltered oracle's. With both signs of zero among the event
+    /// heights, the second holds only because [`sorted_events`] orders
+    /// −0.0 before +0.0: were they tied, the copy counts would pick the
+    /// surviving zero, and on this soup the filtered list would keep −0.0
+    /// where the unfiltered one keeps +0.0.
     #[test]
     fn crossing_pushes_match_the_oracle_on_signed_zero_soups() {
         let p = Vec2::new;
@@ -1787,9 +1792,10 @@ mod tests {
                 BoolOp::Difference,
                 BoolOp::Xor,
             ] {
-                let Some((segs, _)) = nary_arena(&operands, op) else {
+                let Some((segs, window)) = nary_arena(&operands, op) else {
                     continue;
                 };
+                assert_events_match_oracle(&format!("{tag}/{op:?}"), &segs, window);
                 let mut pushed = Vec::new();
                 pairwise_crossing_ys(&segs, &rank_by_min_y(&segs), &mut pushed);
                 let mut oracle = Vec::new();
