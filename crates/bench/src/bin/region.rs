@@ -31,9 +31,12 @@
 //!   6,000 km), in nanoseconds per output vertex.
 //!
 //! Every stage is timed as the median of several batches, each at least a
-//! minimum wall time long ([`octant_bench::median_batch_secs`]), so a short
-//! stall of the host moves one batch, not the field. The host's speed also
-//! drifts between runs, so compare fields within one run or over many.
+//! minimum wall time long, so a short stall of the host moves one batch,
+//! not the field. The stages are timed together, round-robin
+//! ([`octant_bench::round_robin_batch_secs`]): batch `k` of every stage
+//! runs in round `k`, so a drift in the host's speed during the run moves
+//! every field alike. The host's speed also drifts between runs, so
+//! compare fields within one run or over many.
 //!
 //! Run with `cargo run --release -p octant-bench --bin region`. Flags:
 //! * `--smoke` — 7 batches of at least 20 ms per stage instead of 15 of
@@ -41,9 +44,10 @@
 //! * `--json <path>` — write the machine-readable `BENCH_region.json`
 //!   summary ([`octant_bench::OpsBenchSummary`] format).
 
-use octant_bench::{json_path_from_args, median_batch_secs, OpsBenchSummary};
+use octant_bench::{json_path_from_args, round_robin_batch_secs, OpsBenchSummary};
 use octant_region::scanline::stats;
 use octant_region::{BandedRegion, Region, Vec2};
+use std::collections::HashMap;
 use std::time::Duration;
 
 /// The 16 constraint-scale disks every intersection measurement uses
@@ -104,39 +108,42 @@ impl WalkTally {
     }
 }
 
-/// How each stage is timed: the number of batches and the least wall
-/// time of one.
-struct Timing {
-    batches: usize,
-    min_wall: Duration,
+/// The timed stages of a run, registered by name and timed together,
+/// round-robin ([`round_robin_batch_secs`]), once all are in.
+#[derive(Default)]
+struct Stages<'a> {
+    names: Vec<String>,
+    ops: Vec<Box<dyn FnMut() + 'a>>,
 }
 
-impl Timing {
-    /// Seconds per call of `f`, the median over the batches.
-    fn secs_per_call<T>(&self, f: impl FnMut() -> T) -> f64 {
-        median_batch_secs(self.batches, self.min_wall, f)
+impl<'a> Stages<'a> {
+    fn add<T>(&mut self, name: impl Into<String>, mut op: impl FnMut() -> T + 'a) {
+        self.names.push(name.into());
+        self.ops.push(Box::new(move || {
+            std::hint::black_box(op());
+        }));
     }
 
-    /// Calls of `f` per second, from [`Timing::secs_per_call`].
-    fn ops_per_sec<T>(&self, f: impl FnMut() -> T) -> f64 {
-        1.0 / self.secs_per_call(f)
+    /// Seconds per call of every stage, by name.
+    fn time(mut self, batches: usize, min_wall: Duration) -> HashMap<String, f64> {
+        let secs = round_robin_batch_secs(batches, min_wall, &mut self.ops);
+        self.names.into_iter().zip(secs).collect()
     }
 }
+
+/// The radius classes of the dilation stages.
+const DILATE_RADII: [f64; 3] = [60.0, 300.0, 900.0];
+/// The constraint radii of the disk-construction stages.
+const DISK_RADII: [f64; 3] = [60.0, 1_000.0, 6_000.0];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     let json_path = json_path_from_args(&args);
-    let timing = if smoke {
-        Timing {
-            batches: 7,
-            min_wall: Duration::from_millis(20),
-        }
+    let (batches, min_wall) = if smoke {
+        (7, Duration::from_millis(20))
     } else {
-        Timing {
-            batches: 15,
-            min_wall: Duration::from_millis(100),
-        }
+        (15, Duration::from_millis(100))
     };
 
     let mut summary = OpsBenchSummary {
@@ -175,22 +182,6 @@ fn main() {
         "chained area {ca} vs n-ary {na}"
     );
 
-    let chained_ops = timing.ops_per_sec(|| chained(&disks));
-    let nary_ops = timing.ops_per_sec(|| Region::intersect_many(disks.iter()).into_region());
-    let banded_ops = timing.ops_per_sec(|| Region::intersect_many(disks.iter()).area());
-    println!("# intersect16 chained : {chained_ops:>10.1} ops/s  ({chained_bands} band merges)");
-    println!("# intersect16 n-ary   : {nary_ops:>10.1} ops/s  ({nary_bands} band merges)");
-    println!("# intersect16 banded  : {banded_ops:>10.1} ops/s  (area gate, no stitch)");
-    println!("# intersect16 speedup : {:.2}x", nary_ops / chained_ops);
-    println!("# crossing scan ops   : {crossing_scan_ops} candidate pairs (n-ary sweep)");
-    summary.push("intersect16_chained_ops_per_sec", chained_ops);
-    summary.push("intersect16_nary_ops_per_sec", nary_ops);
-    summary.push("intersect16_banded_ops_per_sec", banded_ops);
-    summary.push("intersect16_speedup", nary_ops / chained_ops);
-    summary.push("intersect16_chained_band_merges", chained_bands as f64);
-    summary.push("intersect16_nary_band_merges", nary_bands as f64);
-    summary.push("crossing_scan_ops", crossing_scan_ops as f64);
-
     // ---- Solver-style subtract chain over a trapezoid soup ----------------
     // The solver's refinement as one op: a 16-disk intersection, then 24
     // disk subtractions, each re-budgeted as the solver does. Every
@@ -209,14 +200,6 @@ fn main() {
     let chain_result = subtract_chain();
     let chain_bands = stats::thread_band_merges() - before;
     let chain_scans = stats::thread_crossing_scan_ops() - before_scans;
-    let chain_ops = timing.ops_per_sec(subtract_chain);
-    println!(
-        "# soup subtract chain : {chain_ops:>10.1} ops/s  ({} rings out, {chain_bands} band merges, {chain_scans} crossing scan ops)",
-        chain_result.ring_count()
-    );
-    summary.push("soup_subtract_ops_per_sec", chain_ops);
-    summary.push("soup_subtract_crossing_scan_ops", chain_scans as f64);
-    summary.push("soup_subtract_band_merges", chain_bands as f64);
 
     // ---- Contour extraction from router-like trapezoid soup ----------------
     let soup = router_region();
@@ -234,49 +217,24 @@ fn main() {
         contours.len(),
         soup.ring_count()
     );
-    let extract_ops = timing.ops_per_sec(|| BandedRegion::from_region(&soup).extract_contours());
-    println!(
-        "# contour extraction  : {extract_ops:>10.1} ops/s  ({} soup rings -> {} contours)",
-        soup.ring_count(),
-        contours.len()
-    );
-    summary.push("contour_extract_ops_per_sec", extract_ops);
-    summary.push("contour_soup_rings", soup.ring_count() as f64);
-    summary.push("contour_rings", contours.len() as f64);
-    summary.push("contour_area_rel_err", rel_err);
-
-    let contoured_ops = timing.ops_per_sec(|| soup.dilate_with_contours(&contours, 300.0));
     let mut walks = WalkTally::default();
     let contoured = walks.run(|| soup.dilate_with_contours(&contours, 300.0));
     let fast = walks.run(|| soup.dilate(300.0));
-    let rel = (contoured.area() - fast.area()).abs() / fast.area();
+    let contoured_rel = (contoured.area() - fast.area()).abs() / fast.area();
     assert!(
-        rel < 0.02,
-        "contoured dilation diverges from the fast dispatch by {rel}"
+        contoured_rel < 0.02,
+        "contoured dilation diverges from the fast dispatch by {contoured_rel}"
     );
-    println!("# dilate via contours : {contoured_ops:>10.1} ops/s  (r=300, {rel:.2e} area delta)");
-    summary.push("dilate_contoured_r300_ops_per_sec", contoured_ops);
 
     // ---- Dilation: fast dispatch vs capsule reference, 3 radius classes ----
-    let region = router_region();
-    for radius in [60.0f64, 300.0, 900.0] {
-        let fast = walks.run(|| region.dilate(radius));
-        let reference = walks.run(|| region.dilate_reference(radius));
+    for radius in DILATE_RADII {
+        let fast = walks.run(|| soup.dilate(radius));
+        let reference = walks.run(|| soup.dilate_reference(radius));
         let rel = (fast.area() - reference.area()).abs() / reference.area();
         assert!(
             rel < 0.02,
             "dilate({radius}) diverges from the reference by {rel}"
         );
-        let fast_ops = timing.ops_per_sec(|| region.dilate(radius));
-        let ref_ops = timing.ops_per_sec(|| region.dilate_reference(radius));
-        let label = format!("dilate_r{radius:.0}");
-        println!(
-            "# {label:<20}: {fast_ops:>10.1} ops/s fast, {ref_ops:>8.1} ops/s reference ({:.2}x)",
-            fast_ops / ref_ops
-        );
-        summary.push(format!("{label}_ops_per_sec"), fast_ops);
-        summary.push(format!("{label}_reference_ops_per_sec"), ref_ops);
-        summary.push(format!("{label}_speedup"), fast_ops / ref_ops);
     }
 
     // ---- Landmass-style union of disjoint outlines -------------------------
@@ -288,24 +246,111 @@ fn main() {
         }
         acc
     };
-    let union_chained_ops = timing.ops_per_sec(|| chained_union(&lands));
-    let union_nary_ops = timing.ops_per_sec(|| Region::union_many(lands.iter()));
+
+    // ---- Every stage timed, round-robin ------------------------------------
+    // Disk construction: every solve builds one disk per landmark
+    // measurement, so the cost per flattened vertex is the unit the
+    // flattening and cleaning paths are judged by.
+    let disk_center = Vec2::new(120.0, -80.0);
+    let mut stages = Stages::default();
+    stages.add("intersect16_chained", || chained(&disks));
+    stages.add("intersect16_nary", || {
+        Region::intersect_many(disks.iter()).into_region()
+    });
+    stages.add("intersect16_banded", || {
+        Region::intersect_many(disks.iter()).area()
+    });
+    stages.add("soup_subtract", subtract_chain);
+    stages.add("contour_extract", || {
+        BandedRegion::from_region(&soup).extract_contours()
+    });
+    stages.add("dilate_contoured_r300", || {
+        soup.dilate_with_contours(&contours, 300.0)
+    });
+    for radius in DILATE_RADII {
+        let soup = &soup;
+        stages.add(format!("dilate_r{radius:.0}"), move || soup.dilate(radius));
+        stages.add(format!("dilate_r{radius:.0}_reference"), move || {
+            soup.dilate_reference(radius)
+        });
+    }
+    stages.add("union7_chained", || chained_union(&lands));
+    stages.add("union7_nary", || Region::union_many(lands.iter()));
+    for radius in DISK_RADII {
+        stages.add(format!("disk_r{radius:.0}"), move || {
+            Region::disk(std::hint::black_box(disk_center), radius)
+        });
+    }
+    let secs = stages.time(batches, min_wall);
+    let ops_per_sec = |stage: &str| 1.0 / secs[stage];
+
+    let chained_ops = ops_per_sec("intersect16_chained");
+    let nary_ops = ops_per_sec("intersect16_nary");
+    let banded_ops = ops_per_sec("intersect16_banded");
+    println!("# intersect16 chained : {chained_ops:>10.1} ops/s  ({chained_bands} band merges)");
+    println!("# intersect16 n-ary   : {nary_ops:>10.1} ops/s  ({nary_bands} band merges)");
+    println!("# intersect16 banded  : {banded_ops:>10.1} ops/s  (area gate, no stitch)");
+    println!("# intersect16 speedup : {:.2}x", nary_ops / chained_ops);
+    println!("# crossing scan ops   : {crossing_scan_ops} candidate pairs (n-ary sweep)");
+    summary.push("intersect16_chained_ops_per_sec", chained_ops);
+    summary.push("intersect16_nary_ops_per_sec", nary_ops);
+    summary.push("intersect16_banded_ops_per_sec", banded_ops);
+    summary.push("intersect16_speedup", nary_ops / chained_ops);
+    summary.push("intersect16_chained_band_merges", chained_bands as f64);
+    summary.push("intersect16_nary_band_merges", nary_bands as f64);
+    summary.push("crossing_scan_ops", crossing_scan_ops as f64);
+
+    let chain_ops = ops_per_sec("soup_subtract");
+    println!(
+        "# soup subtract chain : {chain_ops:>10.1} ops/s  ({} rings out, {chain_bands} band merges, {chain_scans} crossing scan ops)",
+        chain_result.ring_count()
+    );
+    summary.push("soup_subtract_ops_per_sec", chain_ops);
+    summary.push("soup_subtract_crossing_scan_ops", chain_scans as f64);
+    summary.push("soup_subtract_band_merges", chain_bands as f64);
+
+    let extract_ops = ops_per_sec("contour_extract");
+    println!(
+        "# contour extraction  : {extract_ops:>10.1} ops/s  ({} soup rings -> {} contours)",
+        soup.ring_count(),
+        contours.len()
+    );
+    summary.push("contour_extract_ops_per_sec", extract_ops);
+    summary.push("contour_soup_rings", soup.ring_count() as f64);
+    summary.push("contour_rings", contours.len() as f64);
+    summary.push("contour_area_rel_err", rel_err);
+
+    let contoured_ops = ops_per_sec("dilate_contoured_r300");
+    println!(
+        "# dilate via contours : {contoured_ops:>10.1} ops/s  (r=300, {contoured_rel:.2e} area delta)"
+    );
+    summary.push("dilate_contoured_r300_ops_per_sec", contoured_ops);
+
+    for radius in DILATE_RADII {
+        let label = format!("dilate_r{radius:.0}");
+        let fast_ops = ops_per_sec(&label);
+        let ref_ops = ops_per_sec(&format!("{label}_reference"));
+        println!(
+            "# {label:<20}: {fast_ops:>10.1} ops/s fast, {ref_ops:>8.1} ops/s reference ({:.2}x)",
+            fast_ops / ref_ops
+        );
+        summary.push(format!("{label}_ops_per_sec"), fast_ops);
+        summary.push(format!("{label}_reference_ops_per_sec"), ref_ops);
+        summary.push(format!("{label}_speedup"), fast_ops / ref_ops);
+    }
+
+    let union_chained_ops = ops_per_sec("union7_chained");
+    let union_nary_ops = ops_per_sec("union7_nary");
     println!("# union7 chained      : {union_chained_ops:>10.1} ops/s");
     println!("# union7 n-ary        : {union_nary_ops:>10.1} ops/s");
     summary.push("union7_chained_ops_per_sec", union_chained_ops);
     summary.push("union7_nary_ops_per_sec", union_nary_ops);
     summary.push("union7_speedup", union_nary_ops / union_chained_ops);
 
-    // ---- Disk construction at three constraint radii -----------------------
-    // Every solve builds one disk per landmark measurement, so the cost per
-    // flattened vertex is the unit the flattening and cleaning paths are
-    // judged by.
-    for radius in [60.0f64, 1_000.0, 6_000.0] {
-        let center = Vec2::new(120.0, -80.0);
-        let vertices = Region::disk(center, radius).vertex_count();
-        let secs = timing.secs_per_call(|| Region::disk(std::hint::black_box(center), radius));
-        let ns_per_vertex = secs * 1e9 / vertices as f64;
+    for radius in DISK_RADII {
         let label = format!("disk_r{radius:.0}");
+        let vertices = Region::disk(disk_center, radius).vertex_count();
+        let ns_per_vertex = secs[&label] * 1e9 / vertices as f64;
         println!("# {label:<20}: {ns_per_vertex:>10.1} ns/vertex  ({vertices} vertices)");
         summary.push(format!("{label}_ns_per_vertex"), ns_per_vertex);
         summary.push(format!("{label}_vertices"), vertices as f64);

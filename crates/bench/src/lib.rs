@@ -649,12 +649,13 @@ impl BenchSummary {
 /// }
 /// ```
 ///
-/// The region bench times every stage with [`median_batch_secs`]: the
+/// The region bench times every stage with [`round_robin_batch_secs`]: the
 /// median of 7 batches of at least 20 ms each in `smoke` (15 of 100 ms in
-/// `full`), so a short stall moves one batch, not the field; the host's
-/// speed also drifts from run to run, which no in-run statistic removes.
-/// `walk_unions` and `walk_fallbacks` count one untimed call of each
-/// dilation stage.
+/// `full`), so a short stall moves one batch, not the field. Batch `k` of
+/// every stage runs in round `k`, so a drift in the host's speed during
+/// the run moves every field alike; the drift from one run to the next,
+/// which no in-run statistic removes, remains. `walk_unions` and
+/// `walk_fallbacks` count one untimed call of each dilation stage.
 ///
 /// The `pipeline` bench reports, next to its per-mix fields, the §2.2
 /// target-height search over the 66 leave-one-out inputs of
@@ -845,24 +846,53 @@ pub fn median_batch_secs<T>(
     min_wall: std::time::Duration,
     mut op: impl FnMut() -> T,
 ) -> f64 {
-    use std::hint::black_box;
+    round_robin_batch_secs(
+        batches,
+        min_wall,
+        &mut [Box::new(|| {
+            std::hint::black_box(op());
+        })],
+    )[0]
+}
+
+/// [`median_batch_secs`] of several operations at once, timed round-robin:
+/// each op's calls per batch are calibrated first, then round `k` runs
+/// batch `k` of every op in turn, so a drift in the host's speed during
+/// the run lands on every op alike. Returns each op's seconds per call, in
+/// the order of `ops`.
+pub fn round_robin_batch_secs(
+    batches: usize,
+    min_wall: std::time::Duration,
+    ops: &mut [Box<dyn FnMut() + '_>],
+) -> Vec<f64> {
     use std::time::Instant;
-    black_box(op());
-    let start = Instant::now();
-    black_box(op());
-    let once = start.elapsed().as_secs_f64();
-    let calls = (min_wall.as_secs_f64() / once.max(1e-9)).ceil().max(1.0) as u64;
-    let mut per_call: Vec<f64> = (0..batches.max(1))
-        .map(|_| {
+    let calls: Vec<u64> = ops
+        .iter_mut()
+        .map(|op| {
+            op();
             let start = Instant::now();
-            for _ in 0..calls {
-                black_box(op());
-            }
-            start.elapsed().as_secs_f64() / calls as f64
+            op();
+            let once = start.elapsed().as_secs_f64();
+            (min_wall.as_secs_f64() / once.max(1e-9)).ceil().max(1.0) as u64
         })
         .collect();
-    per_call.sort_by(f64::total_cmp);
-    per_call[per_call.len() / 2]
+    let mut per_call = vec![Vec::with_capacity(batches.max(1)); ops.len()];
+    for _ in 0..batches.max(1) {
+        for ((op, &calls), times) in ops.iter_mut().zip(&calls).zip(&mut per_call) {
+            let start = Instant::now();
+            for _ in 0..calls {
+                op();
+            }
+            times.push(start.elapsed().as_secs_f64() / calls as f64);
+        }
+    }
+    per_call
+        .into_iter()
+        .map(|mut times| {
+            times.sort_by(f64::total_cmp);
+            times[times.len() / 2]
+        })
+        .collect()
 }
 
 /// One call's worth of input to the §2.2 target-height search

@@ -93,14 +93,6 @@ pub struct NetworkConfig {
     /// default) keeps the caller-supplied hostnames and consumes no RNG
     /// draws, so existing topologies are byte-identical.
     pub host_dns_city_rate: f64,
-    /// Fraction of access routers that are *multi-homed*: in addition to
-    /// their provider's POPs they get an uplink to the nearest POP of a
-    /// different provider, the way enterprise edges buy transit from two
-    /// ASes. Multi-homing adds path diversity that bypasses peering
-    /// penalties, so routes (and therefore measured RTTs) straddle provider
-    /// boundaries. `0.0` (the default) consumes no RNG draws and keeps
-    /// topologies byte-identical to earlier versions.
-    pub multi_homing_rate: f64,
 }
 
 impl Default for NetworkConfig {
@@ -120,7 +112,6 @@ impl Default for NetworkConfig {
             undns_wrong_city_rate: 0.05,
             access_share_radius_km: 0.0,
             host_dns_city_rate: 0.0,
-            multi_homing_rate: 0.0,
         }
     }
 }
@@ -359,16 +350,6 @@ impl NetworkBuilder {
             if let Some(&(_, second, _)) = pops.get(1) {
                 let stretch = rng.gen_range(cfg.link_stretch.0..=cfg.link_stretch.1);
                 net.add_link(access, second, stretch, 1.0);
-            }
-            // Multi-homing: a second transit uplink to the nearest POP of a
-            // *different* provider (no RNG draws at the default rate of 0).
-            if cfg.multi_homing_rate > 0.0 && rng.gen_bool(cfg.multi_homing_rate.clamp(0.0, 1.0)) {
-                if let Some(&(_, foreign, _, _)) =
-                    provider_pops.iter().find(|&&(_, _, _, q)| q != provider)
-                {
-                    let stretch = rng.gen_range(cfg.link_stretch.0..=cfg.link_stretch.1);
-                    net.add_link(access, foreign, stretch, 1.0);
-                }
             }
             access_routers.push((home, access, provider));
 
@@ -671,41 +652,6 @@ mod tests {
             .filter(|&&h| partial.node(h).hostname.starts_with("cpe-"))
             .count();
         assert!(renamed_count > 5 && renamed_count < 46, "{renamed_count}");
-    }
-
-    #[test]
-    fn multi_homing_adds_cross_provider_uplinks() {
-        let multi = NetworkBuilder::planetlab(NetworkConfig {
-            multi_homing_rate: 1.0,
-            ..NetworkConfig::default()
-        })
-        .build();
-        let plain = default_net();
-        // Same nodes, strictly more links: one extra uplink per multi-homed
-        // access router (hosts whose closest foreign POP exists).
-        assert_eq!(multi.node_count(), plain.node_count());
-        assert!(
-            multi.link_count() > plain.link_count() + 20,
-            "expected many extra transit links ({} vs {})",
-            multi.link_count(),
-            plain.link_count()
-        );
-        assert!(multi.is_connected());
-        // Some access router now borders two providers.
-        let crosses = multi.links().iter().any(|l| {
-            let (a, b) = (multi.node(l.a), multi.node(l.b));
-            a.kind == NodeKind::AccessRouter
-                && b.kind == NodeKind::BackboneRouter
-                && a.provider != b.provider
-        });
-        assert!(crosses, "expected at least one cross-provider uplink");
-        // Deterministic for a seed.
-        let again = NetworkBuilder::planetlab(NetworkConfig {
-            multi_homing_rate: 1.0,
-            ..NetworkConfig::default()
-        })
-        .build();
-        assert_eq!(multi.link_count(), again.link_count());
     }
 
     #[test]

@@ -10,12 +10,11 @@
 //! byte-identical measurements, exactly like in the paper.
 
 use crate::observation::{HostDescriptor, ObservationProvider, PingObservation, TracerouteHop};
-use crate::topology::NodeId;
+use crate::topology::{NodeId, NodeIdMap};
 use octant_geo::point::GeoPoint;
 use octant_geo::units::Latency;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// A host in a recorded campaign, with its ground-truth location retained for
 /// evaluation.
@@ -33,7 +32,7 @@ pub struct DatasetHost {
 pub struct MeasurementDataset {
     /// The participating hosts.
     pub hosts: Vec<DatasetHost>,
-    pub(crate) pings: HashMap<(NodeId, NodeId), RecordedPing, BuildHasherDefault<PairHasher>>,
+    pub(crate) pings: NodeIdMap<(NodeId, NodeId), RecordedPing>,
     pub(crate) traceroutes: HashMap<(NodeId, NodeId), Vec<TracerouteHop>>,
     pub(crate) dns: HashMap<[u8; 4], String>,
     pub(crate) whois: HashMap<[u8; 4], String>,
@@ -67,37 +66,14 @@ impl RecordedPing {
         PingObservation::new(self.samples.to_vec())
     }
 
+    /// The recorded samples, in probe order.
+    pub(crate) fn samples(&self) -> &[Latency] {
+        &self.samples
+    }
+
     /// The observation's minimum RTT, `None` when no probe was answered.
     fn min(&self) -> Option<Latency> {
         (!self.samples.is_empty()).then_some(self.min)
-    }
-}
-
-/// A multiply-xor hasher for the `(NodeId, NodeId)` keys of the ping map.
-/// A key hashes as its two ids packed into one word, multiplied by an odd
-/// constant, with the high half folded into the low half (the table picks
-/// buckets from the low bits). The hash only places entries in buckets,
-/// and lookups compare whole keys, so it changes no answer; SipHash was a
-/// measurable part of every `min_rtt` call. The keys are node ids the
-/// network assigns, not input an adversary picks, so there are no crafted
-/// collisions for SipHash to resist.
-#[derive(Default)]
-pub(crate) struct PairHasher(u64);
-
-impl Hasher for PairHasher {
-    fn finish(&self) -> u64 {
-        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^ (h >> 32)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &byte in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
-        }
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.0 = self.0.rotate_left(32) ^ u64::from(v);
     }
 }
 

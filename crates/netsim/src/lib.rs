@@ -26,9 +26,10 @@
 //! * [`observation`] — the [`observation::ObservationProvider`] trait tying
 //!   it all together, plus a recorded [`dataset::MeasurementDataset`] that
 //!   can be captured once and replayed,
-//! * [`store`] — a streaming [`store::ObservationStore`] with
-//!   write-optimized batched indexing, for serving deployments where probe
-//!   observations arrive continuously instead of as one frozen capture,
+//! * [`store`] — a streaming [`store::ObservationStore`]: a
+//!   [`dataset::MeasurementDataset`] that ingest updates in place, for
+//!   serving deployments where probe observations arrive continuously
+//!   instead of as one frozen capture,
 //! * [`scenario`] — a hostile-network scenario engine: a
 //!   [`scenario::ScenarioProvider`] wrapper layering seed-deterministic
 //!   degradations (diurnal congestion, probe loss and timeouts, landmark

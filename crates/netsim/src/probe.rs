@@ -5,14 +5,6 @@
 //! seeded RNG; every `ping` draws fresh probe samples (so repeated
 //! measurements show realistic variation), while `traceroute` reports
 //! per-hop minimum RTTs the way repeated ICMP time-exceeded probing would.
-//!
-//! Lost probes can be retried from a bounded, separately-seeded retry stream
-//! ([`Prober::with_retry_cap`]) so a ping still returns its nominal sample
-//! count at loss rates well above a few percent — calibration stays
-//! well-defined instead of quietly running on thin sample sets. Retries are
-//! off by default and draw from their own RNG stream, so enabling them never
-//! perturbs the main probe stream: every existing capture and golden dataset
-//! stays byte-identical.
 
 use crate::latency::LatencyModel;
 use crate::observation::{HostDescriptor, ObservationProvider, PingObservation, TracerouteHop};
@@ -35,10 +27,8 @@ pub struct Prober {
     model: LatencyModel,
     whois: WhoisRegistry,
     probes_per_ping: usize,
-    retry_cap: usize,
     routes: Mutex<RouteTable>,
     rng: Mutex<StdRng>,
-    retry_rng: Mutex<StdRng>,
 }
 
 impl Prober {
@@ -70,22 +60,9 @@ impl Prober {
             model: model.normalized(),
             whois,
             probes_per_ping,
-            retry_cap: 0,
             routes: Mutex::new(RouteTable::new()),
             rng: Mutex::new(StdRng::seed_from_u64(seed)),
-            retry_rng: Mutex::new(StdRng::seed_from_u64(seed ^ 0x0bad_105e)),
         }
-    }
-
-    /// Sets the retry budget for lost ping probes. The default of `0`
-    /// disables retries (the historical lossy-subset behaviour, and what
-    /// every golden capture pins); a budget of `probes_per_ping` keeps
-    /// calibration well-defined at loss rates of 5 % and beyond. Retries
-    /// draw from a dedicated stream, so turning them on only *appends*
-    /// samples — the main probe stream is unchanged.
-    pub fn with_retry_cap(mut self, cap: usize) -> Self {
-        self.retry_cap = cap;
-        self
     }
 
     /// The underlying network (ground truth — for evaluation only).
@@ -133,30 +110,9 @@ impl ObservationProvider for Prober {
             None => return PingObservation::default(),
         };
         let mut samples = Vec::with_capacity(self.probes_per_ping);
-        let mut lost = 0usize;
-        {
-            let mut rng = self.rng.lock();
-            for _ in 0..self.probes_per_ping {
-                match self.model.rtt_sample(&self.network, &path, &mut *rng) {
-                    Some(s) => samples.push(s),
-                    None => lost += 1,
-                }
-            }
-        }
-        // Bounded retry for lost probes: draw replacements from a dedicated
-        // retry stream so the main probe stream stays byte-identical whether
-        // or not retries happen. Retried probes can themselves be lost and
-        // count against the budget, so the loop terminates at any loss rate.
-        if lost > 0 && self.retry_cap > 0 {
-            let mut retry_rng = self.retry_rng.lock();
-            let mut budget = self.retry_cap;
-            while lost > 0 && budget > 0 {
-                budget -= 1;
-                if let Some(s) = self.model.rtt_sample(&self.network, &path, &mut *retry_rng) {
-                    samples.push(s);
-                    lost -= 1;
-                }
-            }
+        let mut rng = self.rng.lock();
+        for _ in 0..self.probes_per_ping {
+            samples.extend(self.model.rtt_sample(&self.network, &path, &mut *rng));
         }
         PingObservation::new(samples)
     }
@@ -243,56 +199,6 @@ mod tests {
         let obs = p.ping(hosts[0].id, hosts[1].id);
         assert!(!obs.is_unreachable());
         assert!(obs.samples.len() <= DEFAULT_PROBES_PER_PING);
-        let retrying = prober().with_retry_cap(DEFAULT_PROBES_PER_PING);
-        let obs = retrying.ping(hosts[0].id, hosts[1].id);
-        assert_eq!(
-            obs.samples.len(),
-            DEFAULT_PROBES_PER_PING,
-            "bounded retry refills lost probes at the default loss rate"
-        );
-    }
-
-    fn lossy_prober(loss: f64, seed: u64) -> Prober {
-        let net = NetworkBuilder::planetlab(NetworkConfig::default()).build();
-        let model = LatencyModel {
-            loss_probability: loss,
-            ..LatencyModel::default()
-        };
-        Prober::with_options(net, model, 0.15, DEFAULT_PROBES_PER_PING, seed)
-    }
-
-    #[test]
-    fn retries_refill_lost_probes_at_high_loss() {
-        let with_retry = lossy_prober(0.3, 23).with_retry_cap(DEFAULT_PROBES_PER_PING);
-        let without = lossy_prober(0.3, 23);
-        let hosts = with_retry.hosts();
-        let mut refilled = 0usize;
-        for i in 1..20 {
-            let a = with_retry.ping(hosts[0].id, hosts[i].id);
-            let b = without.ping(hosts[0].id, hosts[i].id);
-            // The main stream is untouched by retries: the retried
-            // observation starts with exactly the lossy subset, then appends.
-            assert_eq!(&a.samples[..b.samples.len()], &b.samples[..]);
-            assert!(a.samples.len() >= b.samples.len());
-            refilled += a.samples.len() - b.samples.len();
-        }
-        assert!(
-            refilled > 10,
-            "at 30% loss the retry stream should refill many probes (got {refilled})"
-        );
-    }
-
-    #[test]
-    fn retry_stream_is_deterministic_per_seed() {
-        let hosts = lossy_prober(0.3, 5).hosts();
-        let a = lossy_prober(0.3, 5).with_retry_cap(DEFAULT_PROBES_PER_PING);
-        let b = lossy_prober(0.3, 5).with_retry_cap(DEFAULT_PROBES_PER_PING);
-        for i in 1..10 {
-            assert_eq!(
-                a.ping(hosts[0].id, hosts[i].id),
-                b.ping(hosts[0].id, hosts[i].id)
-            );
-        }
     }
 
     #[test]

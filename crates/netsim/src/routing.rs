@@ -7,10 +7,10 @@
 //! — the route inflation Octant's piecewise localization (§2.3) exists to
 //! cope with.
 
-use crate::topology::{Network, NodeId};
+use crate::topology::{Network, NodeId, NodeIdMap};
 use octant_geo::units::{Distance, Latency};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 /// Per-hop routing charge in milliseconds, modelling lookup/serialization
 /// costs and discouraging hop-maximizing paths.
@@ -64,13 +64,13 @@ impl Path {
 #[derive(Debug, Default)]
 pub struct RouteTable {
     // For each source, predecessor tree and distances from one Dijkstra run.
-    cache: HashMap<NodeId, SourceTree>,
+    cache: NodeIdMap<NodeId, SourceTree>,
 }
 
 #[derive(Debug, Clone)]
 struct SourceTree {
-    predecessor: HashMap<NodeId, NodeId>,
-    cost: HashMap<NodeId, f64>,
+    predecessor: NodeIdMap<NodeId, NodeId>,
+    cost: NodeIdMap<NodeId, f64>,
 }
 
 #[derive(Debug, PartialEq)]
@@ -148,8 +148,8 @@ impl RouteTable {
 }
 
 fn dijkstra(net: &Network, source: NodeId) -> SourceTree {
-    let mut cost: HashMap<NodeId, f64> = HashMap::new();
-    let mut predecessor: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut cost: NodeIdMap<NodeId, f64> = NodeIdMap::default();
+    let mut predecessor: NodeIdMap<NodeId, NodeId> = NodeIdMap::default();
     let mut heap = BinaryHeap::new();
     cost.insert(source, 0.0);
     heap.push(HeapEntry {

@@ -1,38 +1,30 @@
-//! Streaming observation ingest: a write-optimized measurement store.
+//! Streaming observation ingest.
 //!
-//! [`crate::MeasurementDataset`] is a frozen snapshot — the paper's
-//! collect-once, evaluate-forever shape. A production deployment looks
-//! different: probe observations arrive *continuously*, and the serving
-//! tier wants a consistent view of "everything observed so far" at model
-//! refresh time without pausing ingest. [`ObservationStore`] is that write
-//! path, organized the way TWIAD organizes its IP address database:
-//!
-//! * **appends are cheap** — [`ObservationStore::ingest`] pushes records
-//!   into a small unsorted in-memory buffer and returns;
-//! * **the buffer merges into a sorted per-pair index in amortized
-//!   batches** — when the buffer exceeds [`StoreConfig::flush_threshold`],
-//!   one linear merge folds it into the sorted run the lookups binary-search
-//!   (so a lookup never scans more than one bounded buffer);
-//! * **reads see every write** — the store implements
-//!   [`ObservationProvider`] directly (lookups consult buffer + index), and
-//!   [`ObservationStore::snapshot_dataset`] materializes a
-//!   [`MeasurementDataset`] view of the current version for replay-stable
-//!   model preparation.
+//! [`MeasurementDataset`] is a frozen capture, the paper's collect-once,
+//! evaluate-forever shape. In a deployment, probe observations arrive
+//! *continuously* and the serving tier reads "everything observed so far"
+//! while ingest goes on. [`ObservationStore`] is one [`MeasurementDataset`]
+//! behind a read-write lock: [`ObservationStore::ingest`] applies each
+//! record to it in place, every [`ObservationProvider`] read is the
+//! dataset's own lookup, and [`ObservationStore::snapshot_dataset`] is a
+//! clone of it. Seeding from a capture ([`ObservationStore::from_dataset`])
+//! goes through the same ingest.
 //!
 //! Every ingest batch bumps a monotonically increasing **version**; the
 //! store remembers, per node, the last version that touched its observation
-//! set, so a model-refresh loop can ask
-//! [`ObservationStore::changed_since`] for exactly the landmarks whose
-//! calibration inputs may have moved — the driver of
-//! `Octant::prepare_landmarks_incremental` in `octant-core`.
+//! set, so a model-refresh loop can ask [`ObservationStore::changed_since`]
+//! for exactly the landmarks whose calibration inputs may have moved — the
+//! driver of `Octant::prepare_landmarks_incremental` in `octant-core`.
 //!
-//! Conflicting observations of one key (the same directed pair probed
-//! twice) resolve **last-writer-wins by the record's `seq`** — a
-//! caller-supplied logical observation time — with a deterministic
-//! value-based tie-break, so the merged state is a pure function of the
-//! ingested record *set*, independent of batching and arrival order. That
-//! order-independence is what makes "streaming ingest in shuffled batches"
-//! bit-identical to a frozen capture.
+//! Each keyed entry (a host, a directed pair's ping or traceroute, an
+//! address's DNS name, WHOIS city or node) holds the record with the
+//! highest **`seq`**, the caller's logical observation time, and at equal
+//! `seq` the greater value in a fixed order. A traceroute's hops are
+//! DNS-name and IP-binding records, and a host record an IP-binding
+//! record, at the record's own `seq`. The stored state is thus a pure
+//! function of the ingested record *set*, independent of batching and
+//! arrival order, so streaming ingest in shuffled batches is bit-identical
+//! to a frozen capture.
 
 use crate::dataset::{DatasetHost, MeasurementDataset};
 use crate::observation::{HostDescriptor, ObservationProvider, PingObservation, TracerouteHop};
@@ -40,39 +32,18 @@ use crate::topology::NodeId;
 use octant_geo::point::GeoPoint;
 use octant_geo::units::Latency;
 use parking_lot::RwLock;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 
-/// Sizing knobs of an [`ObservationStore`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The settings of an [`ObservationStore`], of which there are none; it
+/// stays for callers that pass one to [`ObservationStore::from_dataset`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
-pub struct StoreConfig {
-    /// Buffered records that trigger an amortized merge into the sorted
-    /// index. Larger values make ingest cheaper (fewer merges) and lookups
-    /// slightly dearer (the unsorted buffer is scanned linearly).
-    pub flush_threshold: usize,
-}
+pub struct StoreConfig {}
 
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            flush_threshold: 256,
-        }
-    }
-}
-
-impl StoreConfig {
-    /// Sets the buffered-record count that triggers an index merge.
-    #[must_use]
-    pub fn with_flush_threshold(mut self, flush_threshold: usize) -> Self {
-        self.flush_threshold = flush_threshold;
-        self
-    }
-}
-
-/// One streamed observation. `seq` is the caller's logical observation time:
-/// among records for the same key, the highest `seq` wins (ties resolve by a
-/// deterministic value comparison), so ingest order never changes the merged
-/// state.
+/// One streamed observation at `seq`, the caller's logical observation
+/// time; the module docs give how records of one key resolve.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum ObservationRecord {
@@ -188,7 +159,7 @@ impl ObservationRecord {
     }
 }
 
-/// A point-in-time gauge of the store's internals.
+/// A point-in-time gauge of the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[non_exhaustive]
 pub struct StoreStats {
@@ -196,69 +167,62 @@ pub struct StoreStats {
     pub version: u64,
     /// Hosts known to the store.
     pub hosts: usize,
-    /// Ping records resident in the sorted index.
-    pub indexed_pings: usize,
-    /// Ping records waiting in the unsorted write buffer.
-    pub buffered_pings: usize,
-    /// Traceroute records resident in the sorted index.
-    pub indexed_traceroutes: usize,
-    /// Traceroute records waiting in the unsorted write buffer.
-    pub buffered_traceroutes: usize,
-    /// Amortized buffer → index merges performed.
-    pub merges: u64,
-    /// Records folded into the index across all merges.
-    pub merged_records: u64,
+    /// Directed pairs with a stored ping observation.
+    pub pings: usize,
+    /// Directed pairs with a stored traceroute.
+    pub traceroutes: usize,
 }
 
-#[derive(Debug, Clone)]
-struct PingEntry {
-    from: NodeId,
-    to: NodeId,
-    seq: u64,
-    observation: PingObservation,
+/// The key of one stored entry, under which the store keeps the `seq` of
+/// the record the entry holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Host(NodeId),
+    Ping(NodeId, NodeId),
+    Traceroute(NodeId, NodeId),
+    Dns([u8; 4]),
+    Whois([u8; 4]),
+    Ip([u8; 4]),
 }
 
-#[derive(Debug, Clone)]
-struct TraceEntry {
-    from: NodeId,
-    to: NodeId,
-    seq: u64,
-    hops: Vec<TracerouteHop>,
-}
-
-/// Total-order rank of a ping observation, used only to break exact `seq`
-/// ties deterministically (so the winner is a function of the record set,
-/// not of arrival order).
-fn ping_rank(observation: &PingObservation) -> Vec<u64> {
-    observation
-        .samples
-        .iter()
+/// The value order that breaks a `seq` tie between two ping observations
+/// of one pair: their samples' bit patterns, compared lexicographically.
+fn ping_order(a: &[Latency], b: &[Latency]) -> Ordering {
+    a.iter()
         .map(|l| l.ms().to_bits())
-        .collect()
+        .cmp(b.iter().map(|l| l.ms().to_bits()))
 }
 
-/// Same idea for traceroutes: rank by the hop walk.
-fn trace_rank(hops: &[TracerouteHop]) -> Vec<u64> {
-    hops.iter()
-        .flat_map(|h| [h.node.0 as u64, h.rtt.ms().to_bits()])
-        .collect()
+/// The same for traceroutes: the hop walk (node, RTT bits), then the hops'
+/// addresses and names.
+fn trace_order(a: &[TracerouteHop], b: &[TracerouteHop]) -> Ordering {
+    fn walk(hops: &[TracerouteHop]) -> impl Iterator<Item = (NodeId, u64)> + '_ {
+        hops.iter().map(|h| (h.node, h.rtt.ms().to_bits()))
+    }
+    fn names(hops: &[TracerouteHop]) -> impl Iterator<Item = ([u8; 4], &str)> + '_ {
+        hops.iter().map(|h| (h.ip, h.hostname.as_str()))
+    }
+    walk(a).cmp(walk(b)).then_with(|| names(a).cmp(names(b)))
+}
+
+/// The same for two announcements of one host: address, name, then
+/// location.
+fn host_order(a: &DatasetHost, b: &DatasetHost) -> Ordering {
+    (a.descriptor.ip, &a.descriptor.hostname)
+        .cmp(&(b.descriptor.ip, &b.descriptor.hostname))
+        .then(a.true_location.lat.total_cmp(&b.true_location.lat))
+        .then(a.true_location.lon.total_cmp(&b.true_location.lon))
 }
 
 #[derive(Debug, Default)]
 struct StoreInner {
+    /// Every entry's winning record, hosts in ascending id order.
+    dataset: MeasurementDataset,
+    /// The `seq` of the record behind each entry of `dataset`.
+    seqs: HashMap<Key, u64>,
     version: u64,
-    hosts: Vec<(u64, DatasetHost)>,
-    host_slots: HashMap<NodeId, usize>,
-    ping_index: Vec<PingEntry>,
-    ping_buffer: Vec<PingEntry>,
-    trace_index: Vec<TraceEntry>,
-    trace_buffer: Vec<TraceEntry>,
-    dns: HashMap<[u8; 4], (u64, String)>,
-    whois: HashMap<[u8; 4], (u64, String)>,
-    ip_to_node: HashMap<[u8; 4], (u64, NodeId)>,
-    touched: HashMap<NodeId, u64>,
-    merges: u64,
-    merged_records: u64,
+    /// The last version whose batch touched each node's observation set.
+    touched: BTreeMap<NodeId, u64>,
 }
 
 impl StoreInner {
@@ -266,280 +230,149 @@ impl StoreInner {
         self.touched.insert(node, self.version);
     }
 
-    /// Folds the write buffers into the sorted indexes: one sort of the
-    /// buffer plus one linear merge with the (already sorted, unique-keyed)
-    /// index — the amortized TWIAD-style batch write.
-    fn flush(&mut self) {
-        self.merged_records += (self.ping_buffer.len() + self.trace_buffer.len()) as u64;
-        if !self.ping_buffer.is_empty() {
-            let mut buffer = std::mem::take(&mut self.ping_buffer);
-            buffer.sort_by(|a, b| {
-                ((a.from, a.to), a.seq, ping_rank(&a.observation)).cmp(&(
-                    (b.from, b.to),
-                    b.seq,
-                    ping_rank(&b.observation),
-                ))
-            });
-            // Last entry per key is the winner within the buffer.
-            buffer.reverse();
-            buffer.dedup_by_key(|e| (e.from, e.to));
-            buffer.reverse();
-            self.ping_index = merge_runs(
-                std::mem::take(&mut self.ping_index),
-                buffer,
-                |e| (e.from, e.to),
-                |a, b| (a.seq, ping_rank(&a.observation)) >= (b.seq, ping_rank(&b.observation)),
-            );
-            self.merges += 1;
-        }
-        if !self.trace_buffer.is_empty() {
-            let mut buffer = std::mem::take(&mut self.trace_buffer);
-            buffer.sort_by(|a, b| {
-                ((a.from, a.to), a.seq, trace_rank(&a.hops)).cmp(&(
-                    (b.from, b.to),
-                    b.seq,
-                    trace_rank(&b.hops),
-                ))
-            });
-            buffer.reverse();
-            buffer.dedup_by_key(|e| (e.from, e.to));
-            buffer.reverse();
-            self.trace_index = merge_runs(
-                std::mem::take(&mut self.trace_index),
-                buffer,
-                |e| (e.from, e.to),
-                |a, b| (a.seq, trace_rank(&a.hops)) >= (b.seq, trace_rank(&b.hops)),
-            );
-            self.merges += 1;
-        }
-    }
-
-    /// The winning ping entry for a key across index and buffer.
-    fn ping_lookup(&self, from: NodeId, to: NodeId) -> Option<&PingEntry> {
-        let mut best: Option<&PingEntry> = self
-            .ping_index
-            .binary_search_by(|e| (e.from, e.to).cmp(&(from, to)))
-            .ok()
-            .map(|i| &self.ping_index[i]);
-        for e in self
-            .ping_buffer
-            .iter()
-            .filter(|e| e.from == from && e.to == to)
-        {
-            best = Some(match best {
-                Some(b)
-                    if (b.seq, ping_rank(&b.observation)) >= (e.seq, ping_rank(&e.observation)) =>
-                {
-                    b
+    /// Whether a record of `key` at `seq` replaces the stored entry, and if
+    /// so records its `seq`: a new key or a higher `seq` always does, an
+    /// equal `seq` when `order` ranks the record's value above the stored
+    /// one.
+    fn replaces(
+        &mut self,
+        key: Key,
+        seq: u64,
+        order: impl FnOnce(&MeasurementDataset) -> Ordering,
+    ) -> bool {
+        match self.seqs.entry(key) {
+            Entry::Vacant(slot) => {
+                slot.insert(seq);
+                true
+            }
+            Entry::Occupied(mut slot) => {
+                let wins = match seq.cmp(slot.get()) {
+                    Ordering::Equal => order(&self.dataset).is_gt(),
+                    unequal => unequal.is_gt(),
+                };
+                if wins {
+                    slot.insert(seq);
                 }
-                _ => e,
-            });
+                wins
+            }
         }
-        best
     }
 
-    /// The winning traceroute entry for a key across index and buffer.
-    fn trace_lookup(&self, from: NodeId, to: NodeId) -> Option<&TraceEntry> {
-        let mut best: Option<&TraceEntry> = self
-            .trace_index
-            .binary_search_by(|e| (e.from, e.to).cmp(&(from, to)))
-            .ok()
-            .map(|i| &self.trace_index[i]);
-        for e in self
-            .trace_buffer
-            .iter()
-            .filter(|e| e.from == from && e.to == to)
-        {
-            best = Some(match best {
-                Some(b) if (b.seq, trace_rank(&b.hops)) >= (e.seq, trace_rank(&e.hops)) => b,
-                _ => e,
-            });
+    fn bind_ip(&mut self, ip: [u8; 4], node: NodeId, seq: u64) {
+        if self.replaces(Key::Ip(ip), seq, |ds| node.cmp(&ds.ip_to_node[&ip])) {
+            self.dataset.ip_to_node.insert(ip, node);
         }
-        best
     }
 
-    /// Hosts sorted by id — a deterministic, arrival-order-independent view.
-    fn sorted_hosts(&self) -> Vec<DatasetHost> {
-        let mut hosts: Vec<DatasetHost> = self.hosts.iter().map(|(_, h)| h.clone()).collect();
-        hosts.sort_by_key(|h| h.descriptor.id);
-        hosts
+    fn name(&mut self, ip: [u8; 4], hostname: &str, seq: u64) {
+        if self.replaces(Key::Dns(ip), seq, |ds| hostname.cmp(&ds.dns[&ip])) {
+            self.dataset.dns.insert(ip, hostname.to_owned());
+        }
+    }
+
+    fn apply(&mut self, record: ObservationRecord) {
+        match record {
+            ObservationRecord::Host {
+                descriptor,
+                location,
+                seq,
+            } => {
+                let id = descriptor.id;
+                self.bind_ip(descriptor.ip, id, seq);
+                let host = DatasetHost {
+                    descriptor,
+                    true_location: location,
+                };
+                let found = self
+                    .dataset
+                    .hosts
+                    .binary_search_by_key(&id, |h| h.descriptor.id);
+                let (Ok(slot) | Err(slot)) = found;
+                if self.replaces(Key::Host(id), seq, |ds| host_order(&host, &ds.hosts[slot])) {
+                    match found {
+                        Ok(_) => self.dataset.hosts[slot] = host,
+                        Err(_) => self.dataset.hosts.insert(slot, host),
+                    }
+                }
+                self.touch(id);
+            }
+            ObservationRecord::Ping {
+                from,
+                to,
+                observation,
+                seq,
+            } => {
+                if self.replaces(Key::Ping(from, to), seq, |ds| {
+                    ping_order(&observation.samples, ds.pings[&(from, to)].samples())
+                }) {
+                    self.dataset.insert_ping(from, to, observation);
+                }
+                // A record under (from, to) only changes lookups from
+                // `from`, so marking the prober alone keeps `changed_since`
+                // tight enough for incremental recalibration to skip
+                // untouched landmarks' pairs.
+                self.touch(from);
+            }
+            ObservationRecord::Traceroute {
+                from,
+                to,
+                hops,
+                seq,
+            } => {
+                for hop in &hops {
+                    self.bind_ip(hop.ip, hop.node, seq);
+                    self.name(hop.ip, &hop.hostname, seq);
+                }
+                if self.replaces(Key::Traceroute(from, to), seq, |ds| {
+                    trace_order(&hops, &ds.traceroutes[&(from, to)])
+                }) {
+                    self.dataset.traceroutes.insert((from, to), hops);
+                }
+                self.touch(from);
+            }
+            ObservationRecord::ReverseDns { ip, hostname, seq } => self.name(ip, &hostname, seq),
+            ObservationRecord::Whois { ip, city, seq } => {
+                if self.replaces(Key::Whois(ip), seq, |ds| city.cmp(&ds.whois[&ip])) {
+                    self.dataset.whois.insert(ip, city);
+                }
+            }
+            ObservationRecord::IpBinding { ip, node, seq } => self.bind_ip(ip, node, seq),
+        }
     }
 }
 
-/// Merges two sorted unique-keyed runs; on a shared key, `wins(a, b)` picks
-/// whether the left (index) entry beats the right (buffer) one.
-fn merge_runs<T, K: Ord>(
-    left: Vec<T>,
-    right: Vec<T>,
-    key: impl Fn(&T) -> K,
-    wins: impl Fn(&T, &T) -> bool,
-) -> Vec<T> {
-    let mut out = Vec::with_capacity(left.len() + right.len());
-    let mut l = left.into_iter().peekable();
-    let mut r = right.into_iter().peekable();
-    loop {
-        match (l.peek(), r.peek()) {
-            (Some(a), Some(b)) => match key(a).cmp(&key(b)) {
-                std::cmp::Ordering::Less => out.push(l.next().expect("peeked")),
-                std::cmp::Ordering::Greater => out.push(r.next().expect("peeked")),
-                std::cmp::Ordering::Equal => {
-                    let a = l.next().expect("peeked");
-                    let b = r.next().expect("peeked");
-                    out.push(if wins(&a, &b) { a } else { b });
-                }
-            },
-            (Some(_), None) => out.push(l.next().expect("peeked")),
-            (None, Some(_)) => out.push(r.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    out
-}
-
-/// The streaming measurement store. See the module docs for the write-path
-/// design; the store is an [`ObservationProvider`] (reads see every write)
-/// and can materialize a frozen [`MeasurementDataset`] view at any version
-/// via [`ObservationStore::snapshot_dataset`].
+/// The streaming measurement store (see the module docs): an
+/// [`ObservationProvider`] whose reads see every ingested batch.
 #[derive(Debug, Default)]
 pub struct ObservationStore {
-    config: StoreConfig,
     inner: RwLock<StoreInner>,
 }
 
 impl ObservationStore {
-    /// Creates an empty store with the given configuration.
-    pub fn new(config: StoreConfig) -> Self {
-        ObservationStore {
-            config,
-            inner: RwLock::new(StoreInner::default()),
-        }
+    /// Creates an empty store.
+    pub fn new() -> Self {
+        ObservationStore::default()
     }
 
-    /// Creates a store pre-seeded with a frozen capture (one ingest batch of
-    /// the dataset's records at `seq` 0).
-    pub fn from_dataset(config: StoreConfig, dataset: &MeasurementDataset) -> Self {
-        let store = ObservationStore::new(config);
+    /// Creates a store seeded with a frozen capture: one ingest batch of the
+    /// dataset's records at `seq` 0. The [`StoreConfig`] sets nothing.
+    pub fn from_dataset(_config: StoreConfig, dataset: &MeasurementDataset) -> Self {
+        let store = ObservationStore::new();
         store.ingest(ObservationRecord::from_dataset(dataset, 0));
         store
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
-    /// Ingests one batch of records: appends into the write buffer (merging
-    /// into the sorted index only when the buffer exceeds the flush
-    /// threshold), records which nodes' observation sets the batch touched,
-    /// and bumps the store version. Returns the new version.
+    /// Ingests one batch of records: applies each to the stored dataset
+    /// under the conflict rule of the module docs, records which nodes'
+    /// observation sets the batch touched, and bumps the store version.
+    /// Returns the new version.
     pub fn ingest(&self, records: impl IntoIterator<Item = ObservationRecord>) -> u64 {
         let mut inner = self.inner.write();
         inner.version += 1;
         for record in records {
-            match record {
-                ObservationRecord::Host {
-                    descriptor,
-                    location,
-                    seq,
-                } => {
-                    let id = descriptor.id;
-                    let host = DatasetHost {
-                        descriptor,
-                        true_location: location,
-                    };
-                    match inner.host_slots.get(&id).copied() {
-                        Some(slot) => {
-                            let (cur_seq, _) = inner.hosts[slot];
-                            if seq >= cur_seq {
-                                inner.hosts[slot] = (seq, host);
-                            }
-                        }
-                        None => {
-                            inner.hosts.push((seq, host));
-                            let slot = inner.hosts.len() - 1;
-                            inner.host_slots.insert(id, slot);
-                        }
-                    }
-                    let ip = inner.hosts[inner.host_slots[&id]].1.descriptor.ip;
-                    let entry = inner.ip_to_node.entry(ip).or_insert((seq, id));
-                    if seq >= entry.0 {
-                        *entry = (seq, id);
-                    }
-                    inner.touch(id);
-                }
-                ObservationRecord::Ping {
-                    from,
-                    to,
-                    observation,
-                    seq,
-                } => {
-                    inner.ping_buffer.push(PingEntry {
-                        from,
-                        to,
-                        seq,
-                        observation,
-                    });
-                    // The prober owns its measurements: a record under key
-                    // (from, to) can only change lookups whose key starts at
-                    // `from`, so marking `from` alone keeps `changed_since`
-                    // tight enough for incremental recalibration to skip
-                    // untouched landmarks' pairs.
-                    inner.touch(from);
-                }
-                ObservationRecord::Traceroute {
-                    from,
-                    to,
-                    hops,
-                    seq,
-                } => {
-                    for hop in &hops {
-                        let entry = inner.ip_to_node.entry(hop.ip).or_insert((seq, hop.node));
-                        if seq >= entry.0 {
-                            *entry = (seq, hop.node);
-                        }
-                        inner
-                            .dns
-                            .entry(hop.ip)
-                            .or_insert_with(|| (seq, hop.hostname.clone()));
-                    }
-                    inner.trace_buffer.push(TraceEntry {
-                        from,
-                        to,
-                        seq,
-                        hops,
-                    });
-                    inner.touch(from);
-                }
-                ObservationRecord::ReverseDns { ip, hostname, seq } => {
-                    let entry = inner.dns.entry(ip).or_insert((seq, hostname.clone()));
-                    if seq >= entry.0 {
-                        *entry = (seq, hostname);
-                    }
-                }
-                ObservationRecord::Whois { ip, city, seq } => {
-                    let entry = inner.whois.entry(ip).or_insert((seq, city.clone()));
-                    if seq >= entry.0 {
-                        *entry = (seq, city);
-                    }
-                }
-                ObservationRecord::IpBinding { ip, node, seq } => {
-                    let entry = inner.ip_to_node.entry(ip).or_insert((seq, node));
-                    if seq >= entry.0 {
-                        *entry = (seq, node);
-                    }
-                }
-            }
-        }
-        if inner.ping_buffer.len() + inner.trace_buffer.len() >= self.config.flush_threshold {
-            inner.flush();
+            inner.apply(record);
         }
         inner.version
-    }
-
-    /// Forces the write buffers into the sorted indexes (benchmarks call
-    /// this to measure steady-state lookups; correctness never needs it).
-    pub fn flush(&self) {
-        self.inner.write().flush();
     }
 
     /// The current store version (0 before the first ingest).
@@ -555,135 +388,60 @@ impl ObservationStore {
     /// lookups from unreturned nodes are guaranteed unchanged.
     pub fn changed_since(&self, version: u64) -> Vec<NodeId> {
         let inner = self.inner.read();
-        let mut changed: Vec<NodeId> = inner
-            .touched
-            .iter()
-            .filter(|(_, &v)| v > version)
-            .map(|(&id, _)| id)
-            .collect();
-        changed.sort_unstable();
-        changed
+        let touched = inner.touched.iter().filter(|(_, &v)| v > version);
+        touched.map(|(&id, _)| id).collect()
     }
 
-    /// Materializes a frozen [`MeasurementDataset`] view of the store's
-    /// current state (hosts in ascending id order; per-key winners by
-    /// `seq`). The view is replay-stable and independent of how the records
-    /// were batched or ordered at ingest time.
+    /// A copy of the store's current state (hosts in ascending id order,
+    /// each key's winning record). It is replay-stable and independent of
+    /// how the records were batched or ordered at ingest time.
     pub fn snapshot_dataset(&self) -> MeasurementDataset {
-        let inner = self.inner.read();
-        let mut ds = MeasurementDataset {
-            hosts: inner.sorted_hosts(),
-            ..MeasurementDataset::default()
-        };
-        for key_entry in &inner.ping_index {
-            // Buffered entries may supersede indexed ones; route every key
-            // through the winner lookup.
-            let e = inner
-                .ping_lookup(key_entry.from, key_entry.to)
-                .expect("indexed key resolves");
-            ds.insert_ping(e.from, e.to, e.observation.clone());
-        }
-        for e in &inner.ping_buffer {
-            let w = inner
-                .ping_lookup(e.from, e.to)
-                .expect("buffered key resolves");
-            ds.insert_ping(w.from, w.to, w.observation.clone());
-        }
-        for key_entry in &inner.trace_index {
-            let e = inner
-                .trace_lookup(key_entry.from, key_entry.to)
-                .expect("indexed key resolves");
-            ds.traceroutes.insert((e.from, e.to), e.hops.clone());
-        }
-        for e in &inner.trace_buffer {
-            let w = inner
-                .trace_lookup(e.from, e.to)
-                .expect("buffered key resolves");
-            ds.traceroutes.insert((w.from, w.to), w.hops.clone());
-        }
-        for (&ip, (_, name)) in &inner.dns {
-            ds.dns.insert(ip, name.clone());
-        }
-        for (&ip, (_, city)) in &inner.whois {
-            ds.whois.insert(ip, city.clone());
-        }
-        for (&ip, &(_, node)) in &inner.ip_to_node {
-            ds.ip_to_node.insert(ip, node);
-        }
-        ds
+        self.inner.read().dataset.clone()
     }
 
-    /// A point-in-time gauge of the store internals.
+    /// A point-in-time gauge of the store.
     pub fn stats(&self) -> StoreStats {
         let inner = self.inner.read();
         StoreStats {
             version: inner.version,
-            hosts: inner.hosts.len(),
-            indexed_pings: inner.ping_index.len(),
-            buffered_pings: inner.ping_buffer.len(),
-            indexed_traceroutes: inner.trace_index.len(),
-            buffered_traceroutes: inner.trace_buffer.len(),
-            merges: inner.merges,
-            merged_records: inner.merged_records,
+            hosts: inner.dataset.hosts.len(),
+            pings: inner.dataset.ping_count(),
+            traceroutes: inner.dataset.traceroute_count(),
         }
     }
 }
 
 impl ObservationProvider for ObservationStore {
     fn hosts(&self) -> Vec<HostDescriptor> {
-        self.inner
-            .read()
-            .sorted_hosts()
-            .into_iter()
-            .map(|h| h.descriptor)
-            .collect()
+        self.inner.read().dataset.hosts()
     }
 
     fn ping(&self, from: NodeId, to: NodeId) -> PingObservation {
-        self.inner
-            .read()
-            .ping_lookup(from, to)
-            .map(|e| e.observation.clone())
-            .unwrap_or_default()
+        self.inner.read().dataset.ping(from, to)
     }
 
     fn min_rtt(&self, from: NodeId, to: NodeId) -> Option<Latency> {
-        self.inner
-            .read()
-            .ping_lookup(from, to)
-            .and_then(|e| e.observation.min())
+        self.inner.read().dataset.min_rtt(from, to)
     }
 
     fn traceroute(&self, from: NodeId, to: NodeId) -> Vec<TracerouteHop> {
-        self.inner
-            .read()
-            .trace_lookup(from, to)
-            .map(|e| e.hops.clone())
-            .unwrap_or_default()
+        self.inner.read().dataset.traceroute(from, to)
     }
 
     fn node_by_ip(&self, ip: [u8; 4]) -> Option<NodeId> {
-        self.inner.read().ip_to_node.get(&ip).map(|&(_, node)| node)
+        self.inner.read().dataset.node_by_ip(ip)
     }
 
     fn reverse_dns(&self, ip: [u8; 4]) -> Option<String> {
-        self.inner.read().dns.get(&ip).map(|(_, name)| name.clone())
+        self.inner.read().dataset.reverse_dns(ip)
     }
 
     fn whois_city(&self, ip: [u8; 4]) -> Option<String> {
-        self.inner
-            .read()
-            .whois
-            .get(&ip)
-            .map(|(_, city)| city.clone())
+        self.inner.read().dataset.whois_city(ip)
     }
 
     fn advertised_location(&self, id: NodeId) -> Option<GeoPoint> {
-        let inner = self.inner.read();
-        inner
-            .host_slots
-            .get(&id)
-            .map(|&slot| inner.hosts[slot].1.true_location)
+        self.inner.read().dataset.advertised_location(id)
     }
 }
 
@@ -738,12 +496,10 @@ mod tests {
         let mut records = ObservationRecord::from_dataset(&ds, 0);
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         records.shuffle(&mut rng);
-        // Tiny flush threshold: many amortized merges along the way.
-        let store = ObservationStore::new(StoreConfig::default().with_flush_threshold(16));
+        let store = ObservationStore::new();
         for chunk in records.chunks(37) {
             store.ingest(chunk.to_vec());
         }
-        assert!(store.stats().merges > 1, "merges must amortize");
         let hosts = ds.host_ids();
         for &a in &hosts {
             for &b in &hosts {
@@ -762,7 +518,7 @@ mod tests {
 
     #[test]
     fn later_seq_wins_regardless_of_ingest_order() {
-        let store = ObservationStore::new(StoreConfig::default().with_flush_threshold(2));
+        let store = ObservationStore::new();
         let old = PingObservation::new(vec![Latency::from_ms(10.0)]);
         let new = PingObservation::new(vec![Latency::from_ms(20.0)]);
         let rec = |obs: &PingObservation, seq| ObservationRecord::Ping {
@@ -776,7 +532,7 @@ mod tests {
         store.ingest(vec![rec(&old, 3)]);
         assert_eq!(store.ping(NodeId(1), NodeId(2)), new);
         // And the reverse order lands in the same state.
-        let store2 = ObservationStore::new(StoreConfig::default().with_flush_threshold(2));
+        let store2 = ObservationStore::new();
         store2.ingest(vec![rec(&old, 3)]);
         store2.ingest(vec![rec(&new, 5)]);
         assert_eq!(store2.ping(NodeId(1), NodeId(2)), new);
@@ -784,7 +540,7 @@ mod tests {
 
     #[test]
     fn changed_since_tracks_touched_nodes_per_version() {
-        let store = ObservationStore::new(StoreConfig::default());
+        let store = ObservationStore::new();
         let v1 = store.ingest(vec![ObservationRecord::Ping {
             from: NodeId(1),
             to: NodeId(2),
@@ -805,20 +561,161 @@ mod tests {
     }
 
     #[test]
-    fn reads_see_buffered_writes_before_any_flush() {
-        // Huge threshold: nothing ever merges, reads still see the write.
-        let store = ObservationStore::new(StoreConfig::default().with_flush_threshold(1_000_000));
-        store.ingest(vec![ObservationRecord::Ping {
+    fn reads_see_every_ingested_batch() {
+        let store = ObservationStore::new();
+        assert_eq!(store.stats(), StoreStats::default());
+        let version = store.ingest(vec![ObservationRecord::Ping {
             from: NodeId(7),
             to: NodeId(8),
             observation: PingObservation::new(vec![Latency::from_ms(9.0)]),
             seq: 1,
         }]);
-        assert_eq!(store.stats().indexed_pings, 0);
-        assert_eq!(store.stats().buffered_pings, 1);
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                version,
+                pings: 1,
+                ..StoreStats::default()
+            }
+        );
         assert_eq!(
             store.ping(NodeId(7), NodeId(8)).min(),
             Some(Latency::from_ms(9.0))
         );
+    }
+
+    /// Every answer `provider` gives about the given nodes and addresses,
+    /// as one string, so two providers' states compare with `assert_eq!`.
+    fn answers(provider: &dyn ObservationProvider, nodes: &[NodeId], ips: &[[u8; 4]]) -> String {
+        let mut out = format!("{:?}\n", provider.hosts());
+        for &a in nodes {
+            out += &format!("{a}: {:?}\n", provider.advertised_location(a));
+            for &b in nodes {
+                out += &format!(
+                    "{a}->{b}: {:?} {:?} {:?}\n",
+                    provider.ping(a, b),
+                    provider.min_rtt(a, b),
+                    provider.traceroute(a, b)
+                );
+            }
+        }
+        for &ip in ips {
+            out += &format!(
+                "{ip:?}: {:?} {:?} {:?}\n",
+                provider.node_by_ip(ip),
+                provider.reverse_dns(ip),
+                provider.whois_city(ip)
+            );
+        }
+        out
+    }
+
+    #[test]
+    fn equal_seq_conflicts_resolve_independently_of_arrival_order() {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let (a, b, c) = (NodeId(1), NodeId(2), NodeId(3));
+        let (x, y, z) = ([10, 0, 0, 1], [10, 0, 0, 2], [10, 0, 0, 3]);
+        let (h1, h2) = ([128, 0, 0, 1], [128, 0, 0, 2]);
+        let host = |hostname: &str, ip, lat| ObservationRecord::Host {
+            descriptor: HostDescriptor {
+                id: a,
+                hostname: hostname.into(),
+                ip,
+            },
+            location: GeoPoint::new(lat, 10.0),
+            seq: 1,
+        };
+        let ping = |ms| ObservationRecord::Ping {
+            from: a,
+            to: b,
+            observation: PingObservation::new(vec![Latency::from_ms(ms)]),
+            seq: 2,
+        };
+        let trace = |to, node, ip, hostname: &str, ms, seq| ObservationRecord::Traceroute {
+            from: a,
+            to,
+            hops: vec![TracerouteHop {
+                node: NodeId(node),
+                ip,
+                hostname: hostname.into(),
+                rtt: Latency::from_ms(ms),
+            }],
+            seq,
+        };
+        let dns = |ip, hostname: &str, seq| ObservationRecord::ReverseDns {
+            ip,
+            hostname: hostname.into(),
+            seq,
+        };
+        let whois = |city: &str| ObservationRecord::Whois {
+            ip: x,
+            city: city.into(),
+            seq: 1,
+        };
+        let bind = |ip, node, seq| ObservationRecord::IpBinding {
+            ip,
+            node: NodeId(node),
+            seq,
+        };
+        let records = vec![
+            // One host announced with two names, addresses and places.
+            host("a.example", h1, 1.0),
+            host("b.example", h2, 2.0),
+            host("a.example", h1, 3.0),
+            ping(10.0),
+            ping(20.0),
+            // Two traceroutes of one pair that differ in an RTT, and one
+            // that differs from the first only in its hop's address and name.
+            trace(b, 7, x, "r7.example", 5.0, 2),
+            trace(b, 7, x, "r7.example", 6.0, 2),
+            trace(b, 7, y, "s7.example", 5.0, 2),
+            // Names and bindings of one address from several kinds of
+            // record at one `seq`, and a later traceroute hop against an
+            // earlier reverse-DNS record.
+            dns(x, "a.example.net", 2),
+            dns(x, "b.example.net", 2),
+            whois("nyc"),
+            whois("sea"),
+            bind(y, 9, 2),
+            bind(h1, 4, 1),
+            trace(c, 8, z, "t.example", 1.0, 5),
+            dns(z, "r.example", 3),
+        ];
+        let nodes = [a, b, c, NodeId(7), NodeId(8)];
+        let ips = [x, y, z, h1, h2];
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut reference: Option<String> = None;
+        for round in 0..24 {
+            let mut shuffled = records.clone();
+            shuffled.shuffle(&mut rng);
+            let store = ObservationStore::new();
+            let mut rest = &shuffled[..];
+            while !rest.is_empty() {
+                let take = rng.gen_range(1..=rest.len());
+                store.ingest(rest[..take].to_vec());
+                rest = &rest[take..];
+            }
+            let got = answers(&store, &nodes, &ips);
+            assert_eq!(
+                got,
+                answers(&store.snapshot_dataset(), &nodes, &ips),
+                "round {round}: snapshot"
+            );
+            match &reference {
+                Some(first) => assert_eq!(&got, first, "round {round}"),
+                None => reference = Some(got),
+            }
+        }
+
+        // The highest `seq` wins across kinds, then the greater value.
+        let store = ObservationStore::new();
+        store.ingest(records);
+        assert_eq!(store.reverse_dns(z).as_deref(), Some("t.example"));
+        assert_eq!(store.min_rtt(a, b), Some(Latency::from_ms(20.0)));
+        assert_eq!(store.traceroute(a, b)[0].rtt, Latency::from_ms(6.0));
+        assert_eq!(store.whois_city(x).as_deref(), Some("sea"));
+        assert_eq!(store.node_by_ip(y), Some(NodeId(9)));
     }
 }

@@ -231,7 +231,8 @@ fn replayed_dataset_supports_every_observation_type_octant_needs() {
 /// observation's minimum — for measured pairs, host-to-router pairs,
 /// missing pairs, pairs recorded with no samples and dark nodes alike. A
 /// dataset records each pair's minimum when it records the observation, so
-/// its captures, its clones and the store's frozen views are all checked.
+/// its captures, its clones, the store built on one and the store's
+/// snapshots are all checked.
 #[test]
 fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
     use octant_netsim::observation::PingObservation;
@@ -273,8 +274,8 @@ fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
     assert!(dataset.min_rtt(hosts[0], hosts[1]).is_some());
     check("clone after min_rtt", &dataset.clone(), &pairs);
 
-    // A store whose reads see both its sorted index and an unflushed
-    // buffer holding a newer, faster observation.
+    // A store that has ingested a newer, faster observation over the
+    // capture's.
     let store = ObservationStore::from_dataset(StoreConfig::default(), &dataset);
     let mut faster = dataset.ping(hosts[0], hosts[1]);
     faster.samples.push(faster.min().unwrap() * 0.5);
@@ -289,8 +290,8 @@ fn min_rtt_equals_the_minimum_of_ping_for_every_provider() {
         dataset.min_rtt(hosts[0], hosts[1])
     );
     check("store", &store, &pairs);
-    // The frozen view records the buffered observation's minimum, and a
-    // pair recorded with no samples has none.
+    // The snapshot records the newer observation's minimum, and a pair
+    // recorded with no samples has none.
     store.ingest(vec![ObservationRecord::Ping {
         from: hosts[1],
         to: hosts[2],
